@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TOL, FuzzySet, UniverseMismatchError, clamp01, complement
-from .inference import CERTAINTY, VARIATION, Relation, Rule, build_relation, gmp
-from .operators import CONTRAPOSITIVE_S, implication_fn
+from .core import TOL, FuzzySet, clamp01
+from .inference import CERTAINTY, VARIATION, Relation, Rule, build_relation, check_universe, gmp
+from .operators import CONTRAPOSITIVE_S, implication_fn, tnorm_fn
 
 SOLVABLE_POSSIBLY = "solvable_possibly"
 UNSOLVABLE = "unsolvable"
@@ -73,11 +73,7 @@ def check_solvability(relation: Relation, b_prime: FuzzySet) -> Solvability:
     A passing verdict is "solvable_possibly"; an exact solution may still
     not exist.
     """
-    if b_prime.universe != relation.v_universe:
-        raise UniverseMismatchError(
-            f"observation lives on {b_prime.universe.name!r} but the relation maps "
-            f"into {relation.v_universe.name!r}"
-        )
+    check_universe(b_prime, relation.v_universe, "observation", "into")
     column_sup = np.max(relation.degrees, axis=0)
     deficit = b_prime.mu - column_sup
     j = int(np.argmax(deficit))
@@ -103,8 +99,9 @@ def _verify(relation: Relation, hypothesis: FuzzySet, observed: FuzzySet,
 def abduce_certainty(rule: Rule, b_prime: FuzzySet, tnorm: str) -> AbductionResult:
     """Contraposition hypothesis for a certainty rule.
 
-    Builds the flipped rule "if v is not-consequent then u is not-antecedent"
-    with the same implication and runs forward inference on the observation:
+    Tabulates the flipped rule "if v is not-consequent then u is
+    not-antecedent" with the same implication and takes the observation's
+    image through it:
 
         hypothesis(u) = max over v of T(b_prime(v), S(1 - B(v), 1 - A(u)))
 
@@ -123,14 +120,12 @@ def abduce_certainty(rule: Rule, b_prime: FuzzySet, tnorm: str) -> AbductionResu
         )
     forward = build_relation(rule)
     solvability = check_solvability(forward, b_prime)
-    contraposed = Rule(
-        antecedent=complement(rule.consequent),
-        consequent=complement(rule.antecedent),
-        semantics=CERTAINTY,
-        implication=rule.implication,
-        tnorm=tnorm,
-    )
-    hypothesis = gmp(build_relation(contraposed), b_prime, tnorm)
+    # the contraposed relation, tabulated over (v, u)
+    impl = implication_fn(rule.implication)
+    flipped = clamp01(impl(1.0 - rule.consequent.mu[:, None], 1.0 - rule.antecedent.mu[None, :]))
+    t = tnorm_fn(tnorm)
+    hypothesis = FuzzySet(rule.antecedent.universe,
+                          np.max(t(b_prime.mu[:, None], flipped), axis=0))
     return AbductionResult(
         hypothesis=hypothesis,
         scheme=CERTAINTY_SCHEME,
@@ -153,11 +148,6 @@ def abduce_variation(rule: Rule, b_prime: FuzzySet) -> AbductionResult:
     if rule.semantics != VARIATION:
         raise ValueError(f"abduce_variation needs a variation rule, got {rule.semantics!r}")
     relation = build_relation(rule)
-    if b_prime.universe != relation.v_universe:
-        raise UniverseMismatchError(
-            f"observation lives on {b_prime.universe.name!r} but the rule concludes "
-            f"on {relation.v_universe.name!r}"
-        )
     solvability = check_solvability(relation, b_prime)
     impl = implication_fn(rule.implication)
     bound = np.min(impl(relation.degrees, b_prime.mu[None, :]), axis=1)

@@ -6,18 +6,17 @@ instance is unsolvable and the best-candidate bound was not requested.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .abduction import UNSOLVABLE, abduce_certainty, abduce_variation
 from .core import UniverseMismatchError
 from .inference import CERTAINTY, build_relation, gmp
-from .operators import RESIDUUM_FOR_TNORM, S_IMPLICATIONS, property_suite, residuum_oracle
+from .operators import RESIDUUM_FOR_TNORM, S_IMPLICATIONS, property_suite, residuum_gap
 from .oracle import QuantizedSearch, enumerate_solutions, greatest_enumerated, snap_to_levels
 from .workbench import (
-    CAUSAL_DIAGNOSIS,
     FAULT_COMPONENT,
     ProblemError,
+    TaskConfig,
     _fuzzyset_dict,
     emit_plot_data,
     format_degrees,
@@ -25,8 +24,10 @@ from .workbench import (
     render_report,
     report_as_dict,
     result_as_dict,
+    result_lines,
     run_causal_scenario,
     run_fault_scenario,
+    write_json,
 )
 
 
@@ -93,37 +94,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pick(value, task_value, what: str):
-    if value is not None:
-        return value
-    if task_value is not None:
-        return task_value
-    raise ProblemError(f"no {what} given on the command line or in the task section")
-
-
-def _write_json(path: str | None, payload: dict) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _rule_and_set(problem, rule_name, set_name, what: str):
+    """The rule and the set named on the command line, each falling back to
+    the task section's rule and input; returns both names and both objects."""
+    task = problem.task or TaskConfig()
+    rule_name = task.rule if rule_name is None else rule_name
+    set_name = task.input if set_name is None else set_name
+    for name, label in ((rule_name, "rule"), (set_name, what)):
+        if name is None:
+            raise ProblemError(f"no {label} given on the command line or in the task section")
+    if rule_name not in problem.rules:
+        raise ProblemError(f"unknown rule {rule_name!r}")
+    return rule_name, problem.rules[rule_name], set_name, problem.resolve_set(set_name)
 
 
 def cmd_infer(args) -> int:
     problem = load_problem(args.problem, args.grid_points)
-    task = problem.task
-    rule_name = _pick(args.rule, task.rule if task else None, "rule")
-    input_name = _pick(args.input, task.input if task else None, "input set")
-    if rule_name not in problem.rules:
-        raise ProblemError(f"unknown rule {rule_name!r}")
-    rule = problem.rules[rule_name]
-    a_prime = problem.resolve_set(input_name)
+    rule_name, rule, input_name, a_prime = _rule_and_set(problem, args.rule, args.input,
+                                                         "input set")
     image = gmp(build_relation(rule), a_prime, rule.tnorm)
     print(f"rule: {rule_name}")
     print(f"input on {a_prime.universe.name}: {format_degrees(a_prime.mu)}")
     print(f"image on {image.universe.name}: {format_degrees(image.mu)}")
-    _write_json(args.out, {"rule": rule_name, "input": input_name,
-                           "image": _fuzzyset_dict(image)})
+    write_json(args.out, {"rule": rule_name, "input": input_name,
+                          "image": _fuzzyset_dict(image)})
     return 0
 
 
@@ -135,53 +129,30 @@ def _run_abduction(rule, observed):
 
 def cmd_abduce(args) -> int:
     problem = load_problem(args.problem, args.grid_points)
-    task = problem.task
-    rule_name = _pick(args.rule, task.rule if task else None, "rule")
-    obs_name = _pick(args.observation, task.input if task else None, "observation")
-    if rule_name not in problem.rules:
-        raise ProblemError(f"unknown rule {rule_name!r}")
-    rule = problem.rules[rule_name]
-    observed = problem.resolve_set(obs_name)
+    rule_name, rule, obs_name, observed = _rule_and_set(problem, args.rule, args.observation,
+                                                        "observation")
     result = _run_abduction(rule, observed)
+    hypothesis, solvability, roundtrip = result_lines(result, "")
 
     print(f"rule: {rule_name}  scheme: {result.scheme}")
     print(f"observation on {observed.universe.name}: {format_degrees(observed.mu)}")
-    solv = result.solvability
-    if solv.witness is None:
-        print(f"solvability: {solv.verdict}")
-    else:
-        w = solv.witness
-        print(
-            f"solvability: {solv.verdict} "
-            f"(at v={w.point:g} required {w.required:.6f}, available {w.available:.6f})"
-        )
-    unsolvable = solv.verdict == UNSOLVABLE
-    if unsolvable and not args.bound:
+    print(solvability)
+    if result.solvability.verdict == UNSOLVABLE and not args.bound:
         print("no exact hypothesis exists; rerun with --bound for the best candidate")
         return 2
-    rt = result.roundtrip
-    print(f"hypothesis on {result.hypothesis.universe.name}: "
-          f"{format_degrees(result.hypothesis.mu)}")
-    print(
-        f"roundtrip: max residual {rt.max_abs_residual:.6f}, "
-        f"covers={'yes' if rt.covers_observation else 'no'}, "
-        f"within={'yes' if rt.within_observation else 'no'}"
-    )
-    _write_json(args.out, {"rule": rule_name, "observation": obs_name,
-                           "result": result_as_dict(result)})
+    print(hypothesis)
+    print(roundtrip)
+    write_json(args.out, {"rule": rule_name, "observation": obs_name,
+                          "result": result_as_dict(result)})
     return 0
 
 
 def cmd_enumerate(args) -> int:
     problem = load_problem(args.problem, args.grid_points)
-    task = problem.task
-    rule_name = _pick(args.rule, task.rule if task else None, "rule")
-    obs_name = _pick(args.observation, task.input if task else None, "observation")
-    if rule_name not in problem.rules:
-        raise ProblemError(f"unknown rule {rule_name!r}")
-    rule = problem.rules[rule_name]
-    observed = problem.resolve_set(obs_name)
-    levels = args.levels or (task.levels if task and task.levels else 11)
+    rule_name, rule, obs_name, observed = _rule_and_set(problem, args.rule, args.observation,
+                                                        "observation")
+    task_levels = problem.task.levels if problem.task else None
+    levels = args.levels if args.levels is not None else task_levels or 11
     search = QuantizedSearch(levels=levels, max_points=args.max_points)
 
     relation = build_relation(rule)
@@ -199,7 +170,7 @@ def cmd_enumerate(args) -> int:
     top = greatest_enumerated(solutions)
     if top is not None:
         print(f"greatest solution: {format_degrees(top.mu)}")
-    _write_json(args.out, {
+    write_json(args.out, {
         "rule": rule_name,
         "observation": obs_name,
         "levels": levels,
@@ -224,42 +195,21 @@ def cmd_check_ops(args) -> int:
         _print_suite(report, payload)
     print("s-implications (contrapositive symmetry):")
     for impl_name in sorted(S_IMPLICATIONS):
-        report = property_suite(None, impl_name, levels)
-        symmetry = [c for c in report.checks if c.name == "contrapositive_symmetry"]
-        _print_suite(
-            PropertyOnly(report, tuple(symmetry)), payload, prefix=impl_name
-        )
+        # without a t-norm the suite runs the symmetry check alone
+        _print_suite(property_suite(None, impl_name, levels), payload, prefix=impl_name)
     print(f"residuum agreement (closed form vs {_ORACLE_LEVELS}-level scan, "
           f"{_ORACLE_GRID}x{_ORACLE_GRID} grid):")
     step = 1.0 / (_ORACLE_LEVELS - 1)
-    from .operators import implication  # closed forms, validated scalars
-
     for t_name, impl_name in sorted(RESIDUUM_FOR_TNORM.items()):
-        gap = 0.0
-        for i in range(_ORACLE_GRID):
-            a = i / (_ORACLE_GRID - 1)
-            for j in range(_ORACLE_GRID):
-                b = j / (_ORACLE_GRID - 1)
-                gap = max(gap, abs(implication(impl_name, a, b)
-                                   - residuum_oracle(t_name, a, b, _ORACLE_LEVELS)))
+        gap = residuum_gap(t_name, impl_name, _ORACLE_GRID, _ORACLE_LEVELS)
         ok = gap <= step + 1e-9
         print(f"  {'PASS' if ok else 'FAIL'} {t_name}/{impl_name} "
               f"max gap {gap:.6f} (tolerance {step:.6f})")
         payload["residuum"].append(
             {"tnorm": t_name, "implication": impl_name, "max_gap": gap, "passed": ok}
         )
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return 0
-
-
-class PropertyOnly:
-    """Narrow view of a PropertyReport for printing a subset of its checks."""
-
-    def __init__(self, report, checks):
-        self.tnorm = report.tnorm
-        self.implication = report.implication
-        self.grid_levels = report.grid_levels
-        self.checks = checks
 
 
 def _print_suite(report, payload: dict, prefix: str | None = None) -> None:
@@ -286,14 +236,11 @@ def cmd_scenario(args) -> int:
     if problem.task is None or problem.task.scenario is None:
         raise ProblemError("the problem file has no task.scenario section")
     config = problem.task.scenario
-    if config.kind == FAULT_COMPONENT:
-        report = run_fault_scenario(problem, config)
-    elif config.kind == CAUSAL_DIAGNOSIS:
-        report = run_causal_scenario(problem, config)
-    else:
-        raise ProblemError(f"unknown scenario kind {config.kind!r}")
+    # load_problem admits no other scenario kind
+    run = run_fault_scenario if config.kind == FAULT_COMPONENT else run_causal_scenario
+    report = run(problem, config)
     sys.stdout.write(render_report(report))
-    _write_json(args.out, report_as_dict(report))
+    write_json(args.out, report_as_dict(report))
     return 0
 
 

@@ -9,7 +9,6 @@ from .core import FuzzySet, Universe, UniverseMismatchError, _frozen, clamp01
 from .operators import (
     S_IMPLICATIONS,
     R_IMPLICATIONS,
-    TNORMS,
     TNORM_FOR_RESIDUUM,
     canonical_name,
     implication_fn,
@@ -54,8 +53,7 @@ class Rule:
             raise ValueError(
                 f"rule semantics must be {CERTAINTY!r} or {VARIATION!r}, got {self.semantics!r}"
             )
-        if t not in TNORMS:
-            raise ValueError(f"unknown t-norm {self.tnorm!r}; choose from {sorted(TNORMS)}")
+        tnorm_fn(self.tnorm)  # raises on an unknown t-norm
         if semantics == CERTAINTY and impl not in S_IMPLICATIONS:
             raise ValueError(
                 f"certainty rules take an s-family implication "
@@ -104,16 +102,19 @@ def build_relation(rule: Rule) -> Relation:
     )
 
 
+def check_universe(s: FuzzySet, universe: Universe, what: str, side: str) -> None:
+    """Raise unless s lives on the universe a relation maps from or into."""
+    if s.universe != universe:
+        raise UniverseMismatchError(f"{what} lives on {s.universe.name!r} but the relation "
+                                    f"maps {side} {universe.name!r}")
+
+
 def gmp(relation: Relation, a_prime: FuzzySet, tnorm: str) -> FuzzySet:
     """Generalized modus ponens: image of a_prime through the relation.
 
     The output degree at v is the max over u of T(a_prime(u), relation(u, v)).
     """
-    if a_prime.universe != relation.u_universe:
-        raise UniverseMismatchError(
-            f"input lives on {a_prime.universe.name!r} but the relation maps "
-            f"from {relation.u_universe.name!r}"
-        )
+    check_universe(a_prime, relation.u_universe, "input", "from")
     t = tnorm_fn(tnorm)
     image = np.max(t(a_prime.mu[:, None], relation.degrees), axis=0)
     return FuzzySet(relation.v_universe, image)

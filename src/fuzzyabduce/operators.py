@@ -73,18 +73,19 @@ def _check_degree(label: str, value) -> float:
     return v
 
 
-def tnorm_fn(kind: str) -> Callable:
+def _lookup(table: dict, kind: str, what: str) -> Callable:
     k = canonical_name(kind)
-    if k not in TNORMS:
-        raise ValueError(f"unknown t-norm {kind!r}; choose from {sorted(TNORMS)}")
-    return TNORMS[k]
+    if k not in table:
+        raise ValueError(f"unknown {what} {kind!r}; choose from {sorted(table)}")
+    return table[k]
+
+
+def tnorm_fn(kind: str) -> Callable:
+    return _lookup(TNORMS, kind, "t-norm")
 
 
 def tconorm_fn(kind: str) -> Callable:
-    k = canonical_name(kind)
-    if k not in TCONORMS:
-        raise ValueError(f"unknown t-conorm {kind!r}; choose from {sorted(TCONORMS)}")
-    return TCONORMS[k]
+    return _lookup(TCONORMS, kind, "t-conorm")
 
 
 def tnorm(kind: str, a: float, b: float) -> float:
@@ -219,6 +220,27 @@ def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int = 1001) -> 
     return float(np.max(np.where(fn(av, zs) <= bv, zs, 0.0)))
 
 
+def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: int) -> float:
+    """Largest gap between a closed-form implication and residuum_oracle
+    over the points x points grid of degrees a, b = i / (points - 1).
+
+    Scans one a at a time: T(a, z) is computed once per a and compared
+    against every b, so each temporary holds points x levels values.
+    """
+    if points < 2 or levels < 2:
+        raise ValueError(f"residuum scan needs at least 2 points and 2 levels, "
+                         f"got {points} and {levels}")
+    t = tnorm_fn(tnorm_kind)
+    impl = implication_fn(implication_kind)
+    g = np.arange(points) / (points - 1)
+    zs = np.linspace(0.0, 1.0, levels)
+    gap = 0.0
+    for a in g:
+        scanned = np.max(np.where(t(a, zs)[None, :] <= g[:, None], zs, 0.0), axis=1)
+        gap = max(gap, float(np.max(np.abs(np.clip(impl(a, g), 0.0, 1.0) - scanned))))
+    return gap
+
+
 # --- algebraic property suite ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -250,8 +272,8 @@ class PropertyReport:
 
 
 def _worst_case(violation: np.ndarray, grids: tuple, lhs: np.ndarray, rhs: np.ndarray,
-                tol: float) -> PropertyCheck | None:
-    """Fold a violation tensor into a PropertyCheck body (name filled by caller)."""
+                tol: float) -> Counterexample | None:
+    """The worst counterexample in a violation tensor, or None within tolerance."""
     shape = violation.shape
     worst_flat = int(np.argmax(violation))
     worst_val = float(violation.flat[worst_flat])
@@ -274,11 +296,17 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
     contrapositive symmetry. Failures are recorded with the worst
     counterexample found; they are report content, not errors.
     """
+    if grid_levels < 2:
+        raise ValueError(f"property suite needs at least 2 grid levels, got {grid_levels}")
     impl_name = canonical_name(implication_kind)
     impl = implication_fn(impl_name)
     g = np.linspace(0.0, 1.0, grid_levels)
     a2, b2 = g[:, None], g[None, :]
     checks: list[PropertyCheck] = []
+
+    def add(name, violation, grids, lhs, rhs):
+        worst = _worst_case(violation, grids, lhs, rhs, tol)
+        checks.append(PropertyCheck(name, worst is None, violation.size, worst))
 
     run_r = impl_name in R_IMPLICATIONS and tnorm_kind is not None
     if impl_name in R_IMPLICATIONS and tnorm_kind is None and impl_name not in S_IMPLICATIONS:
@@ -295,54 +323,42 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
         t = tnorm_fn(t_name)
         iab = impl(a2, b2)
 
-        def add(name, violation, grids, lhs, rhs, cases):
-            worst = _worst_case(violation, grids, lhs, rhs, tol)
-            checks.append(PropertyCheck(name, worst is None, cases, worst))
-
         # larger consequents never shrink the implication degree
         a3, b3, c3 = g[:, None, None], g[None, :, None], g[None, None, :]
         lhs = impl(a3, b3)
         rhs = impl(a3, c3)
         viol = np.where(b3 <= c3, lhs - rhs, -np.inf)
-        add("monotone_consequent", viol, (g, g, g), lhs, rhs, grid_levels ** 3)
+        add("monotone_consequent", viol, (g, g, g), lhs, rhs)
 
         # combining an antecedent with its residuum stays under the consequent
         lhs = t(a2, iab)
-        add("detachment_below", lhs - b2, (g, g), lhs, np.broadcast_to(b2, lhs.shape),
-            grid_levels ** 2)
+        add("detachment_below", lhs - b2, (g, g), lhs, b2)
 
         # the residuum recovers at least the consequent from a conjunction
         rhs = impl(a2, t(a2, b2))
-        add("expansion_above", b2 - rhs, (g, g), np.broadcast_to(b2, rhs.shape), rhs,
-            grid_levels ** 2)
+        add("expansion_above", b2 - rhs, (g, g), b2, rhs)
 
         # stronger antecedents never raise the implication degree
         lhs = impl(b3, c3)
         rhs = impl(a3, c3)
         viol = np.where(a3 <= b3, lhs - rhs, -np.inf)
-        add("antitone_antecedent", viol, (g, g, g), lhs, rhs, grid_levels ** 3)
+        add("antitone_antecedent", viol, (g, g, g), lhs, rhs)
 
         # an already-satisfied implication has full degree
-        ones = np.ones_like(iab)
         viol = np.where(a2 <= b2, np.abs(iab - 1.0), -np.inf)
-        add("full_degree_when_ordered", viol, (g, g), iab, ones, grid_levels ** 2)
+        add("full_degree_when_ordered", viol, (g, g), iab, 1.0)
 
         # a certain antecedent passes the consequent through unchanged
         i1b = impl(np.asarray(1.0), g)
-        add("left_unit", np.abs(i1b - g), (g,), i1b, g, grid_levels)
+        add("left_unit", np.abs(i1b - g), (g,), i1b, g)
 
         # the implication degree dominates the bare consequent
-        add("dominates_consequent", b2 - iab, (g, g), np.broadcast_to(b2, iab.shape),
-            iab, grid_levels ** 2)
+        add("dominates_consequent", b2 - iab, (g, g), b2, iab)
 
     if impl_name in S_IMPLICATIONS:
         lhs = impl(a2, b2)
         rhs = impl(1.0 - b2, 1.0 - a2)
-        viol = np.abs(lhs - rhs)
-        worst = _worst_case(viol, (g, g), lhs, rhs, tol)
-        checks.append(
-            PropertyCheck("contrapositive_symmetry", worst is None, grid_levels ** 2, worst)
-        )
+        add("contrapositive_symmetry", np.abs(lhs - rhs), (g, g), lhs, rhs)
 
     if not checks:
         raise ValueError(

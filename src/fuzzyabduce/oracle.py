@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, FuzzySet, UniverseMismatchError
-from .inference import Relation
+from .core import TOL, FuzzySet
+from .inference import Relation, check_universe
 from .operators import tnorm_fn
 
 log = logging.getLogger(__name__)
@@ -54,11 +54,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
     logged when non-zero); matching is within the standard tolerance.
     Candidates come back in lexicographic order of their degree vectors.
     """
-    if b_prime.universe != relation.v_universe:
-        raise UniverseMismatchError(
-            f"observation lives on {b_prime.universe.name!r} but the relation maps "
-            f"into {relation.v_universe.name!r}"
-        )
+    check_universe(b_prime, relation.v_universe, "observation", "into")
     n = len(relation.u_universe)
     if n > search.max_points:
         raise ValueError(

@@ -22,7 +22,7 @@ deterministic: the same problem file always produces byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -105,19 +105,16 @@ class Problem:
         return self.sets[target]
 
     def to_dict(self) -> dict:
-        universes = []
-        for d in self.universe_defs:
-            if d.grid is not None:
-                universes.append({"name": d.name, "grid": list(d.grid)})
-            else:
-                universes.append(
-                    {"name": d.name, "lo": d.lo, "hi": d.hi, "points": d.points}
-                )
+        # a universe is declared by its grid or by lo/hi/points, never both
+        universes = [{k: list(v) if k == "grid" else v
+                      for k, v in asdict(d).items() if v is not None}
+                     for d in self.universe_defs]
         sets = {
             name: {
                 "universe": sd.universe,
-                "shape": _shape_kind(sd.shape),
-                "params": _shape_params(sd.shape),
+                "shape": type(sd.shape).__name__.lower(),
+                "params": (list(sd.shape.degrees) if isinstance(sd.shape, Samples)
+                           else list(astuple(sd.shape))),
             }
             for name, sd in self.set_defs.items()
         }
@@ -129,73 +126,58 @@ class Problem:
             "observations": dict(self.observations),
         }
         if self.task is not None:
-            task: dict = {}
-            if self.task.kind is not None:
-                task["kind"] = self.task.kind
-            if self.task.rule is not None:
-                task["rule"] = self.task.rule
-            if self.task.input is not None:
-                task["input"] = self.task.input
-            if self.task.levels is not None:
-                task["levels"] = self.task.levels
-            if self.task.scenario is not None:
-                sc = self.task.scenario
-                task["scenario"] = {
-                    "kind": sc.kind,
-                    "rules": list(sc.rules),
-                    "observation": sc.observation,
-                    "match_threshold": sc.match_threshold,
-                }
+            task = {k: v for k, v in asdict(self.task).items() if v is not None}
+            if "scenario" in task:
+                task["scenario"]["rules"] = list(task["scenario"]["rules"])
             out["task"] = task
         return out
 
 
-_SHAPE_ARITY = {"triangular": 3, "trapezoidal": 4, "gaussian": 2, "singleton": 1}
-
-
-def _shape_kind(shape: Shape) -> str:
-    return type(shape).__name__.lower()
-
-
-def _shape_params(shape: Shape) -> list:
-    if isinstance(shape, Triangular):
-        return [shape.a, shape.b, shape.c]
-    if isinstance(shape, Trapezoidal):
-        return [shape.a, shape.b, shape.c, shape.d]
-    if isinstance(shape, Gaussian):
-        return [shape.center, shape.width]
-    if isinstance(shape, Singleton):
-        return [shape.point]
-    if isinstance(shape, Samples):
-        return list(shape.degrees)
-    raise ProblemError(f"unknown shape {shape!r}")
+#: shape classes by their name in problem files; each takes its parameters
+#: in field order, except samples, which takes the whole list as its degrees
+_SHAPES = {cls.__name__.lower(): cls
+          for cls in (Triangular, Trapezoidal, Gaussian, Singleton, Samples)}
 
 
 def shape_from_spec(kind: str, params, where: str) -> Shape:
     k = str(kind).strip().lower()
-    if k != "samples" and _SHAPE_ARITY.get(k) is not None and len(params) != _SHAPE_ARITY[k]:
+    if k not in _SHAPES:
+        raise ProblemError(f"{where}: unknown shape kind {kind!r}")
+    _require(isinstance(params, (list, tuple)), f"{where}: params must be a list, got {params!r}")
+    if k == "samples":
+        params = [tuple(params)]
+    elif len(params) != len(fields(_SHAPES[k])):
         raise ProblemError(
-            f"{where}: shape {k!r} takes {_SHAPE_ARITY[k]} parameters, got {len(params)}"
+            f"{where}: shape {k!r} takes {len(fields(_SHAPES[k]))} parameters, got {len(params)}"
         )
     try:
-        if k == "triangular":
-            return Triangular(*params)
-        if k == "trapezoidal":
-            return Trapezoidal(*params)
-        if k == "gaussian":
-            return Gaussian(*params)
-        if k == "singleton":
-            return Singleton(*params)
-        if k == "samples":
-            return Samples(tuple(params))
-    except ValueError as exc:
+        return _SHAPES[k](*params)
+    except (TypeError, ValueError) as exc:
         raise ProblemError(f"{where}: {exc}") from exc
-    raise ProblemError(f"{where}: unknown shape kind {kind!r}")
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProblemError(message)
+
+
+def _named(name, table: dict) -> bool:
+    # a name from the file may be any JSON value; only a string can name an entry
+    return isinstance(name, str) and name in table
+
+
+def _section(data: dict, key: str, kind: type):
+    value = data.get(key, kind())
+    _require(isinstance(value, kind),
+             f"{key}: must be {'a list' if kind is list else 'an object'}")
+    return value
+
+
+def _number(convert, value, where: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"{where}: expected a number, got {value!r}") from exc
 
 
 def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
@@ -216,7 +198,7 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
 
     universe_defs: list[UniverseDef] = []
     universes: dict[str, Universe] = {}
-    for i, entry in enumerate(data.get("universes", [])):
+    for i, entry in enumerate(_section(data, "universes", list)):
         where = f"universes[{i}]"
         _require(isinstance(entry, dict), f"{where}: must be an object")
         name = entry.get("name")
@@ -242,11 +224,11 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
 
     set_defs: dict[str, SetDef] = {}
     sets: dict[str, FuzzySet] = {}
-    for name, entry in dict(data.get("sets", {})).items():
+    for name, entry in _section(data, "sets", dict).items():
         where = f"sets.{name}"
         _require(isinstance(entry, dict), f"{where}: must be an object")
         uname = entry.get("universe")
-        _require(uname in universes, f"{where}: unknown universe {uname!r}")
+        _require(_named(uname, universes), f"{where}: unknown universe {uname!r}")
         shape = shape_from_spec(entry.get("shape"), entry.get("params", []), where)
         try:
             sets[name] = sample(shape, universes[uname])
@@ -256,14 +238,14 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
 
     rule_defs: dict[str, dict] = {}
     rules: dict[str, Rule] = {}
-    for name, entry in dict(data.get("rules", {})).items():
+    for name, entry in _section(data, "rules", dict).items():
         where = f"rules.{name}"
         _require(isinstance(entry, dict), f"{where}: must be an object")
         for fieldname in ("antecedent", "consequent", "semantics", "implication", "tnorm"):
             _require(fieldname in entry, f"{where}: missing field {fieldname!r}")
         for side in ("antecedent", "consequent"):
             _require(
-                entry[side] in sets, f"{where}: unknown set {entry[side]!r} as {side}"
+                _named(entry[side], sets), f"{where}: unknown set {entry[side]!r} as {side}"
             )
         try:
             rule = Rule(
@@ -285,12 +267,12 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
         }
 
     observations: dict[str, str] = {}
-    for name, target in dict(data.get("observations", {})).items():
-        _require(
-            isinstance(target, str) and target in sets,
-            f"observations.{name}: unknown set {target!r}",
-        )
+    for name, target in _section(data, "observations", dict).items():
+        _require(_named(target, sets), f"observations.{name}: unknown set {target!r}")
         observations[name] = target
+
+    def known_set(name) -> bool:
+        return _named(name, observations) or _named(name, sets)
 
     task = None
     if "task" in data:
@@ -306,35 +288,36 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
                 f"task.scenario: kind must be {FAULT_COMPONENT!r} or "
                 f"{CAUSAL_DIAGNOSIS!r}, got {kind!r}",
             )
-            rule_names = tuple(sc.get("rules", []))
+            rule_names = sc.get("rules", [])
+            _require(isinstance(rule_names, list),
+                     f"task.scenario.rules: must be a list of rule names, got {rule_names!r}")
             _require(len(rule_names) > 0, "task.scenario: needs at least one rule")
             for rn in rule_names:
-                _require(rn in rules, f"task.scenario: unknown rule {rn!r}")
+                _require(_named(rn, rules), f"task.scenario: unknown rule {rn!r}")
             obs = sc.get("observation")
-            _require(
-                isinstance(obs, str) and (obs in observations or obs in sets),
-                f"task.scenario: unknown observation {obs!r}",
-            )
-            threshold = float(sc.get("match_threshold", 0.7))
+            _require(known_set(obs), f"task.scenario: unknown observation {obs!r}")
+            threshold = _number(float, sc.get("match_threshold", 0.7),
+                                "task.scenario.match_threshold")
             _require(
                 0.0 <= threshold <= 1.0,
                 f"task.scenario: match_threshold must lie in [0, 1], got {threshold}",
             )
-            scenario = ScenarioConfig(kind, rule_names, obs, threshold)
+            scenario = ScenarioConfig(kind, tuple(rule_names), obs, threshold)
         rule_name = entry.get("rule")
         if rule_name is not None:
-            _require(rule_name in rules, f"task: unknown rule {rule_name!r}")
+            _require(_named(rule_name, rules), f"task: unknown rule {rule_name!r}")
         input_name = entry.get("input")
         if input_name is not None:
-            _require(
-                input_name in observations or input_name in sets,
-                f"task: unknown set or observation {input_name!r}",
-            )
+            _require(known_set(input_name), f"task: unknown set or observation {input_name!r}")
+        levels = None
+        if "levels" in entry:
+            levels = _number(int, entry["levels"], "task.levels")
+            _require(levels >= 2, f"task.levels: needs at least 2 levels, got {levels}")
         task = TaskConfig(
             kind=entry.get("kind"),
             rule=rule_name,
             input=input_name,
-            levels=int(entry["levels"]) if "levels" in entry else None,
+            levels=levels,
             scenario=scenario,
         )
 
@@ -343,12 +326,18 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
     )
 
 
+def write_json(path: Optional[str], payload: dict) -> Optional[str]:
+    """Write payload as indented JSON with a final newline; no path, no file."""
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    return path
+
+
 def save_problem(problem: Problem, path: str) -> str:
     """Write the canonical JSON form; load -> save is idempotent."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem.to_dict(), fh, indent=2)
-        fh.write("\n")
-    return path
+    return write_json(path, problem.to_dict())
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -377,29 +366,29 @@ class ScenarioReport:
     threshold: Optional[float] = None
     aggregates: list = field(default_factory=list)
 
-    def to_text(self) -> str:
-        return render_report(self)
 
-    def to_dict(self) -> dict:
-        return report_as_dict(self)
+#: the rule semantics each scenario kind analyses, and the analysis's name
+_ANALYSIS = {FAULT_COMPONENT: (CERTAINTY, "fault-component analysis"),
+             CAUSAL_DIAGNOSIS: (VARIATION, "causal analysis")}
 
 
-def run_fault_scenario(problem: Problem, config: ScenarioConfig) -> ScenarioReport:
-    """Rank certainty rules by how strongly the observation matches the
-    contrary of their normal conclusion; abduce a hypothesis for each rule
-    at or above the match threshold.
-    """
-    if config.kind != FAULT_COMPONENT:
-        raise ProblemError(f"fault scenario got config kind {config.kind!r}")
+def _scenario_inputs(problem: Problem, config: ScenarioConfig,
+                     kind: str) -> tuple[FuzzySet, list[tuple[str, Rule]]]:
+    """The observation and the named rules of a scenario of the given kind,
+    each rule checked to exist, to have the semantics that kind analyses and
+    to conclude on the observation's universe."""
+    if config.kind != kind:
+        raise ProblemError(f"{kind} scenario got config kind {config.kind!r}")
+    semantics, analysis = _ANALYSIS[kind]
     observed = problem.resolve_set(config.observation)
-    scored: list[tuple[float, int, str, Rule]] = []
-    for order, name in enumerate(config.rules):
+    found = []
+    for name in config.rules:
         if name not in problem.rules:
             raise ProblemError(f"scenario: unknown rule {name!r}")
         rule = problem.rules[name]
-        if rule.semantics != CERTAINTY:
+        if rule.semantics != semantics:
             raise ProblemError(
-                f"scenario: fault-component analysis needs certainty rules; "
+                f"scenario: {analysis} needs {semantics} rules; "
                 f"{name!r} has semantics {rule.semantics!r}"
             )
         if rule.consequent.universe != observed.universe:
@@ -408,12 +397,21 @@ def run_fault_scenario(problem: Problem, config: ScenarioConfig) -> ScenarioRepo
                 f"{rule.consequent.universe.name!r} but the observation lives on "
                 f"{observed.universe.name!r}"
             )
-        score = compatibility(observed, complement(rule.consequent))
-        scored.append((score, order, name, rule))
+        found.append((name, rule))
+    return observed, found
 
-    scored.sort(key=lambda item: (-item[0], item[1]))
+
+def run_fault_scenario(problem: Problem, config: ScenarioConfig) -> ScenarioReport:
+    """Rank certainty rules by how strongly the observation matches the
+    contrary of their normal conclusion; abduce a hypothesis for each rule
+    at or above the match threshold.
+    """
+    observed, rules = _scenario_inputs(problem, config, FAULT_COMPONENT)
+    # the sort is stable, so rules with equal scores keep their configured order
+    scored = sorted(((compatibility(observed, complement(rule.consequent)), name, rule)
+                     for name, rule in rules), key=lambda item: -item[0])
     entries = []
-    for score, _, name, rule in scored:
+    for score, name, rule in scored:
         flagged = score >= config.match_threshold
         result = abduce_certainty(rule, observed, rule.tnorm) if flagged else None
         entries.append(
@@ -435,26 +433,10 @@ def run_causal_scenario(problem: Problem, config: ScenarioConfig) -> ScenarioRep
     by pointwise minimum; that combination step is an extension beyond the
     per-rule scheme and is labeled as such in the report.
     """
-    if config.kind != CAUSAL_DIAGNOSIS:
-        raise ProblemError(f"causal scenario got config kind {config.kind!r}")
-    observed = problem.resolve_set(config.observation)
+    observed, rules = _scenario_inputs(problem, config, CAUSAL_DIAGNOSIS)
     entries = []
     by_universe: dict[str, list[tuple[str, FuzzySet]]] = {}
-    for name in config.rules:
-        if name not in problem.rules:
-            raise ProblemError(f"scenario: unknown rule {name!r}")
-        rule = problem.rules[name]
-        if rule.semantics != VARIATION:
-            raise ProblemError(
-                f"scenario: causal analysis needs variation rules; "
-                f"{name!r} has semantics {rule.semantics!r}"
-            )
-        if rule.consequent.universe != observed.universe:
-            raise ProblemError(
-                f"scenario: rule {name!r} concludes on "
-                f"{rule.consequent.universe.name!r} but the observation lives on "
-                f"{observed.universe.name!r}"
-            )
+    for name, rule in rules:
         result = abduce_variation(rule, observed)
         entries.append(ScenarioEntry(rule=name, result=result))
         by_universe.setdefault(rule.antecedent.universe.name, []).append(
@@ -488,27 +470,21 @@ def format_degrees(mu: np.ndarray) -> str:
     return ", ".join(f"{x:.6f}" for x in mu)
 
 
-def _result_lines(result: AbductionResult, indent: str) -> list[str]:
-    lines = [
+def result_lines(result: AbductionResult, indent: str) -> list[str]:
+    """The hypothesis, solvability and roundtrip lines of one result."""
+    solv = result.solvability
+    w = solv.witness
+    rt = result.roundtrip
+    return [
         f"{indent}hypothesis on {result.hypothesis.universe.name}: "
         f"{format_degrees(result.hypothesis.mu)}",
-    ]
-    solv = result.solvability
-    if solv.witness is None:
-        lines.append(f"{indent}solvability: {solv.verdict}")
-    else:
-        w = solv.witness
-        lines.append(
-            f"{indent}solvability: {solv.verdict} "
-            f"(at v={w.point:g} required {w.required:.6f}, available {w.available:.6f})"
-        )
-    rt = result.roundtrip
-    lines.append(
+        f"{indent}solvability: {solv.verdict}" + (
+            "" if w is None else
+            f" (at v={w.point:g} required {w.required:.6f}, available {w.available:.6f})"),
         f"{indent}roundtrip: max residual {rt.max_abs_residual:.6f}, "
         f"covers={'yes' if rt.covers_observation else 'no'}, "
-        f"within={'yes' if rt.within_observation else 'no'}"
-    )
-    return lines
+        f"within={'yes' if rt.within_observation else 'no'}",
+    ]
 
 
 def render_report(report: ScenarioReport) -> str:
@@ -524,7 +500,7 @@ def render_report(report: ScenarioReport) -> str:
                 f"  {rank}. {entry.rule}  compatibility={entry.compatibility:.6f}  {status}"
             )
             if entry.result is not None:
-                lines.extend(_result_lines(entry.result, "     "))
+                lines.extend(result_lines(entry.result, "     "))
     else:
         lines.append("causal-diagnosis scenario")
         lines.append(f"observation: {report.observation}")
@@ -533,7 +509,7 @@ def render_report(report: ScenarioReport) -> str:
             assert entry.result is not None
             universe = entry.result.hypothesis.universe.name
             lines.append(f"  {entry.rule} (cause universe: {universe})")
-            lines.extend(_result_lines(entry.result, "     "))
+            lines.extend(result_lines(entry.result, "     "))
         if report.aggregates:
             lines.append(f"combined per-universe bounds [{AGGREGATION_LABEL}]:")
             for agg in report.aggregates:

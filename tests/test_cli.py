@@ -1,8 +1,10 @@
 """Command-line behaviour: subcommands, output, exit codes."""
 import json
+from pathlib import Path
 
 import pytest
 
+from conftest import bundled_problem
 from fuzzyabduce.cli import main
 
 
@@ -186,3 +188,66 @@ def test_grid_points_flag(capsys, temperature_path):
     # nine columns after the label
     image_line = next(l for l in out.splitlines() if l.startswith("image on"))
     assert image_line.count(",") == 8
+
+
+def write_mutated(tmp_path, name, mutate):
+    data = json.loads(Path(bundled_problem(name)).read_text(encoding="utf-8"))
+    mutate(data)
+    path = tmp_path / f"mutated_{name}"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+# case -> (bundled problem, mutation, entry the error message must name)
+MALFORMED = {
+    "levels_null": ("temperature.json", lambda d: d["task"].update(levels=None),
+                    "task.levels"),
+    "params_number": ("temperature.json", lambda d: d["sets"]["low"].update(params=5),
+                      "sets.low"),
+    "sets_list": ("temperature.json", lambda d: d.update(sets=list(d["sets"].values())),
+                  "sets"),
+    "samples_null": ("temperature.json",
+                     lambda d: d["sets"]["low"].update(shape="samples", params=[None]),
+                     "sets.low"),
+    "threshold_null": ("circuit_fault.json",
+                       lambda d: d["task"]["scenario"].update(match_threshold=None),
+                       "task.scenario.match_threshold"),
+    "scenario_rules_string": ("circuit_fault.json",
+                              lambda d: d["task"]["scenario"].update(rules="psu_ok"),
+                              "task.scenario.rules"),
+    "task_rule_list": ("temperature.json", lambda d: d["task"].update(rule=["x"]), "task"),
+    "set_universe_list": ("temperature.json",
+                          lambda d: d["sets"]["low"].update(universe=["x"]), "sets.low"),
+    "antecedent_list": ("temperature.json",
+                        lambda d: d["rules"]["heat_persists"].update(antecedent=["x"]),
+                        "rules.heat_persists"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_problem_exits_1_naming_the_entry(capsys, tmp_path, case):
+    name, mutate, entry = MALFORMED[case]
+    path = write_mutated(tmp_path, name, mutate)
+    command = "scenario" if name == "circuit_fault.json" else "abduce"
+    code, _, err = run(capsys, command, "--problem", path)
+    assert code == 1
+    assert err.startswith(f"error: {entry}"), err
+
+
+def test_enumerate_rejects_levels_below_2(capsys, temperature_path):
+    code, _, err = run(capsys, "enumerate", "--problem", temperature_path, "--levels", "0")
+    assert code == 1
+    assert err.startswith("error:") and "at least 2 levels" in err
+
+
+def test_check_ops_rejects_levels_below_2(capsys):
+    code, _, err = run(capsys, "check-ops", "--levels", "1")
+    assert code == 1
+    assert err.startswith("error:") and "at least 2 grid levels" in err
+
+
+def test_task_levels_below_2_exits_1(capsys, tmp_path):
+    path = write_mutated(tmp_path, "temperature.json", lambda d: d["task"].update(levels=1))
+    code, _, err = run(capsys, "enumerate", "--problem", path)
+    assert code == 1
+    assert err.startswith("error: task.levels")

@@ -20,6 +20,7 @@ from fuzzyabduce.operators import (
     is_r_implication,
     is_s_implication,
     property_suite,
+    residuum_gap,
     residuum_oracle,
     tconorm,
     tnorm,
@@ -169,6 +170,16 @@ def test_residuum_oracle_matches_closed_forms():
 def test_residuum_oracle_needs_two_levels():
     with pytest.raises(ValueError, match="at least 2 levels"):
         residuum_oracle("minimum", 0.5, 0.5, 1)
+
+
+@pytest.mark.parametrize("t_name, impl_name", sorted(RESIDUUM_FOR_TNORM.items()))
+def test_residuum_gap_equals_the_scalar_scan(t_name, impl_name):
+    # 11x11 grid of (a, b) at 101 levels, one scalar oracle call per pair
+    expected = max(
+        abs(implication(impl_name, i / 10, j / 10) - residuum_oracle(t_name, i / 10, j / 10, 101))
+        for i in range(11) for j in range(11)
+    )
+    assert residuum_gap(t_name, impl_name, 11, 101) == expected
 
 
 @given(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False),
