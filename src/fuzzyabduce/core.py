@@ -187,7 +187,9 @@ def sample(shape: Shape, universe: Universe) -> FuzzySet:
     elif isinstance(shape, Trapezoidal):
         mu = np.minimum(_ramp_up(x, shape.a, shape.b), _ramp_down(x, shape.c, shape.d))
     elif isinstance(shape, Gaussian):
-        mu = np.exp(-(((x - shape.center) / shape.width) ** 2))
+        # a tiny width overflows the scaled distance to inf, whose degree is 0
+        with np.errstate(over="ignore"):
+            mu = np.exp(-(((x - shape.center) / shape.width) ** 2))
     elif isinstance(shape, Singleton):
         mu = np.zeros(len(universe))
         mu[int(np.argmin(np.abs(x - shape.point)))] = 1.0

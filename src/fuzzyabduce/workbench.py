@@ -16,13 +16,17 @@ A problem file is JSON with this shape::
 
 Shapes: triangular [a,b,c], trapezoidal [a,b,c,d], gaussian [center,width],
 singleton [point], samples [one degree per grid point]. A scenario task
-carries its configuration under task.scenario. All report rendering is
+carries its configuration under task.scenario. Numbers must be finite JSON
+numbers (not booleans), points and levels integers, names strings; any other
+value is a ProblemError that names the entry. All report rendering is
 deterministic: the same problem file always produces byte-identical output.
 """
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import asdict, astuple, dataclass, field, fields
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -32,7 +36,6 @@ from .core import (
     FuzzySet,
     Gaussian,
     Samples,
-    Shape,
     Singleton,
     Trapezoidal,
     Triangular,
@@ -55,21 +58,6 @@ class ProblemError(ValueError):
 
 
 @dataclass(frozen=True)
-class UniverseDef:
-    name: str
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    points: Optional[int] = None
-    grid: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class SetDef:
-    universe: str
-    shape: Shape
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
     rules: tuple
@@ -88,11 +76,9 @@ class TaskConfig:
 
 @dataclass
 class Problem:
-    universe_defs: list
+    spec: dict  # the canonical file form, recorded while loading
     universes: dict
-    set_defs: dict
     sets: dict
-    rule_defs: dict
     rules: dict
     observations: dict
     task: Optional[TaskConfig] = None
@@ -105,32 +91,7 @@ class Problem:
         return self.sets[target]
 
     def to_dict(self) -> dict:
-        # a universe is declared by its grid or by lo/hi/points, never both
-        universes = [{k: list(v) if k == "grid" else v
-                      for k, v in asdict(d).items() if v is not None}
-                     for d in self.universe_defs]
-        sets = {
-            name: {
-                "universe": sd.universe,
-                "shape": type(sd.shape).__name__.lower(),
-                "params": (list(sd.shape.degrees) if isinstance(sd.shape, Samples)
-                           else list(astuple(sd.shape))),
-            }
-            for name, sd in self.set_defs.items()
-        }
-        rules = {name: dict(rd) for name, rd in self.rule_defs.items()}
-        out = {
-            "universes": universes,
-            "sets": sets,
-            "rules": rules,
-            "observations": dict(self.observations),
-        }
-        if self.task is not None:
-            task = {k: v for k, v in asdict(self.task).items() if v is not None}
-            if "scenario" in task:
-                task["scenario"]["rules"] = list(task["scenario"]["rules"])
-            out["task"] = task
-        return out
+        return copy.deepcopy(self.spec)
 
 
 #: shape classes by their name in problem files; each takes its parameters
@@ -138,22 +99,18 @@ class Problem:
 _SHAPES = {cls.__name__.lower(): cls
           for cls in (Triangular, Trapezoidal, Gaussian, Singleton, Samples)}
 
+#: the kinds of value a problem file field may hold, by the name errors give them
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    # abs() compares a JSON integer exactly, so one too large for a float fails too
+    "a finite number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                  and abs(v) <= sys.float_info.max),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+}
 
-def shape_from_spec(kind: str, params, where: str) -> Shape:
-    k = str(kind).strip().lower()
-    if k not in _SHAPES:
-        raise ProblemError(f"{where}: unknown shape kind {kind!r}")
-    _require(isinstance(params, (list, tuple)), f"{where}: params must be a list, got {params!r}")
-    if k == "samples":
-        params = [tuple(params)]
-    elif len(params) != len(fields(_SHAPES[k])):
-        raise ProblemError(
-            f"{where}: shape {k!r} takes {len(fields(_SHAPES[k]))} parameters, got {len(params)}"
-        )
-    try:
-        return _SHAPES[k](*params)
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"{where}: {exc}") from exc
+_REQUIRED = object()
 
 
 def _require(condition: bool, message: str) -> None:
@@ -161,23 +118,46 @@ def _require(condition: bool, message: str) -> None:
         raise ProblemError(message)
 
 
-def _named(name, table: dict) -> bool:
-    # a name from the file may be any JSON value; only a string can name an entry
-    return isinstance(name, str) and name in table
+def _path(where: str, key) -> str:
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
 
 
-def _section(data: dict, key: str, kind: type):
-    value = data.get(key, kind())
-    _require(isinstance(value, kind),
-             f"{key}: must be {'a list' if kind is list else 'an object'}")
+def _field(entry, key, kind: str, where: str, default=_REQUIRED):
+    """entry[key] (a key of an object or an index of a list), checked to be of
+    the named kind; default when the key is absent, an error when it is
+    required."""
+    try:
+        value = entry[key]
+    except KeyError:
+        _require(default is not _REQUIRED, f"{where}: missing field {key!r}")
+        return default
+    if not _KINDS[kind](value):  # not _require: the message is built only on failure
+        raise ProblemError(f"{_path(where, key)}: must be {kind}, got {value!r}")
     return value
 
 
-def _number(convert, value, where: str):
+def _ref(entry, key, table, what: str, where: str, default=_REQUIRED):
+    """A string field that must name an entry of table."""
+    name = _field(entry, key, "a string", where, default)
+    if name is not None and name not in table:
+        raise ProblemError(f"{_path(where, key)}: unknown {what} {name!r}")
+    return name
+
+
+def _list(entry, key, kind: str, where: str, default=_REQUIRED) -> list:
+    """A list field whose every item is of the named kind."""
+    values = _field(entry, key, "a list", where, default)
+    return [_field(values, i, kind, _path(where, key)) for i in range(len(values))]
+
+
+def _built(where: str, make, *args):
+    """make(*args), with a ValueError reported as a ProblemError naming where."""
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"{where}: expected a number, got {value!r}") from exc
+        return make(*args)
+    except ValueError as exc:
+        raise ProblemError(f"{where}: {exc}") from exc
 
 
 def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
@@ -187,143 +167,113 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
     lo/hi/points; universes declared with an explicit grid keep it.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ProblemError(
+                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
     _require(isinstance(data, dict), f"{path}: top level must be a JSON object")
+    spec: dict = {"universes": [], "sets": {}, "rules": {}}
 
-    universe_defs: list[UniverseDef] = []
     universes: dict[str, Universe] = {}
-    for i, entry in enumerate(_section(data, "universes", list)):
+    for i, entry in enumerate(_list(data, "universes", "an object", "", [])):
         where = f"universes[{i}]"
-        _require(isinstance(entry, dict), f"{where}: must be an object")
-        name = entry.get("name")
-        _require(isinstance(name, str) and name != "", f"{where}: needs a name")
+        name = _field(entry, "name", "a string", where)
+        _require(name != "", f"{where}: needs a name")
         _require(name not in universes, f"{where}: duplicate universe name {name!r}")
-        try:
-            if "grid" in entry:
-                udef = UniverseDef(name, grid=tuple(float(g) for g in entry["grid"]))
-                universes[name] = Universe(name, np.array(udef.grid))
-            else:
-                points = int(entry.get("points", 101))
-                if grid_points is not None:
-                    points = grid_points
-                udef = UniverseDef(
-                    name, lo=float(entry["lo"]), hi=float(entry["hi"]), points=points
-                )
-                universes[name] = make_universe(name, udef.lo, udef.hi, udef.points)
-        except KeyError as exc:
-            raise ProblemError(f"{where}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ProblemError(f"{where}: {exc}") from exc
-        universe_defs.append(udef)
+        if "grid" in entry:
+            grid = [float(g) for g in _list(entry, "grid", "a finite number", where)]
+            udef = {"name": name, "grid": grid}
+            universes[name] = _built(where, Universe, name, np.array(grid))
+        else:
+            lo = float(_field(entry, "lo", "a finite number", where))
+            hi = float(_field(entry, "hi", "a finite number", where))
+            points = _field(entry, "points", "an integer", where, 101)
+            if grid_points is not None:
+                points = grid_points
+            udef = {"name": name, "lo": lo, "hi": hi, "points": points}
+            universes[name] = _built(where, make_universe, name, lo, hi, points)
+        spec["universes"].append(udef)
 
-    set_defs: dict[str, SetDef] = {}
     sets: dict[str, FuzzySet] = {}
-    for name, entry in _section(data, "sets", dict).items():
+    section = _field(data, "sets", "an object", "", {})
+    for name in section:
         where = f"sets.{name}"
-        _require(isinstance(entry, dict), f"{where}: must be an object")
-        uname = entry.get("universe")
-        _require(_named(uname, universes), f"{where}: unknown universe {uname!r}")
-        shape = shape_from_spec(entry.get("shape"), entry.get("params", []), where)
-        try:
-            sets[name] = sample(shape, universes[uname])
-        except ValueError as exc:
-            raise ProblemError(f"{where}: {exc}") from exc
-        set_defs[name] = SetDef(uname, shape)
+        entry = _field(section, name, "an object", "sets")
+        uname = _ref(entry, "universe", universes, "universe", where)
+        kind = _field(entry, "shape", "a string", where).strip().lower()
+        _require(kind in _SHAPES, f"{where}: unknown shape kind {kind!r}")
+        params = _list(entry, "params", "a finite number", where, [])
+        if kind == "samples":
+            params = [float(p) for p in params]
+            shape = _built(where, Samples, tuple(params))
+        else:
+            arity = len(fields(_SHAPES[kind]))
+            _require(len(params) == arity,
+                     f"{where}: shape {kind!r} takes {arity} parameters, got {len(params)}")
+            shape = _built(where, _SHAPES[kind], *params)
+        sets[name] = _built(where, sample, shape, universes[uname])
+        spec["sets"][name] = {"universe": uname, "shape": kind, "params": params}
 
-    rule_defs: dict[str, dict] = {}
     rules: dict[str, Rule] = {}
-    for name, entry in _section(data, "rules", dict).items():
+    section = _field(data, "rules", "an object", "", {})
+    for name in section:
         where = f"rules.{name}"
-        _require(isinstance(entry, dict), f"{where}: must be an object")
-        for fieldname in ("antecedent", "consequent", "semantics", "implication", "tnorm"):
-            _require(fieldname in entry, f"{where}: missing field {fieldname!r}")
-        for side in ("antecedent", "consequent"):
-            _require(
-                _named(entry[side], sets), f"{where}: unknown set {entry[side]!r} as {side}"
-            )
-        try:
-            rule = Rule(
-                antecedent=sets[entry["antecedent"]],
-                consequent=sets[entry["consequent"]],
-                semantics=entry["semantics"],
-                implication=entry["implication"],
-                tnorm=entry["tnorm"],
-            )
-        except ValueError as exc:
-            raise ProblemError(f"{where}: {exc}") from exc
+        entry = _field(section, name, "an object", "rules")
+        sides = [_ref(entry, side, sets, "set", where) for side in ("antecedent", "consequent")]
+        rule = _built(where, Rule, *(sets[s] for s in sides),
+                      *(_field(entry, k, "a string", where)
+                        for k in ("semantics", "implication", "tnorm")))
         rules[name] = rule
-        rule_defs[name] = {
-            "antecedent": entry["antecedent"],
-            "consequent": entry["consequent"],
-            "semantics": rule.semantics,
-            "implication": rule.implication,
-            "tnorm": rule.tnorm,
-        }
+        spec["rules"][name] = {"antecedent": sides[0], "consequent": sides[1],
+                               "semantics": rule.semantics,
+                               "implication": rule.implication, "tnorm": rule.tnorm}
 
-    observations: dict[str, str] = {}
-    for name, target in _section(data, "observations", dict).items():
-        _require(_named(target, sets), f"observations.{name}: unknown set {target!r}")
-        observations[name] = target
-
-    def known_set(name) -> bool:
-        return _named(name, observations) or _named(name, sets)
+    section = _field(data, "observations", "an object", "", {})
+    observations = {name: _ref(section, name, sets, "set", "observations")
+                    for name in section}
+    spec["observations"] = dict(observations)
 
     task = None
     if "task" in data:
-        entry = data["task"]
-        _require(isinstance(entry, dict), "task: must be an object")
+        entry = _field(data, "task", "an object", "")
+        known = observations.keys() | sets.keys()
         scenario = None
         if "scenario" in entry:
-            sc = entry["scenario"]
-            _require(isinstance(sc, dict), "task.scenario: must be an object")
-            kind = sc.get("kind")
+            where = "task.scenario"
+            sc = _field(entry, "scenario", "an object", "task")
+            kind = _field(sc, "kind", "a string", where, None)
             _require(
                 kind in (FAULT_COMPONENT, CAUSAL_DIAGNOSIS),
                 f"task.scenario: kind must be {FAULT_COMPONENT!r} or "
                 f"{CAUSAL_DIAGNOSIS!r}, got {kind!r}",
             )
-            rule_names = sc.get("rules", [])
-            _require(isinstance(rule_names, list),
-                     f"task.scenario.rules: must be a list of rule names, got {rule_names!r}")
+            rule_names = _field(sc, "rules", "a list", where, [])
             _require(len(rule_names) > 0, "task.scenario: needs at least one rule")
-            for rn in rule_names:
-                _require(_named(rn, rules), f"task.scenario: unknown rule {rn!r}")
-            obs = sc.get("observation")
-            _require(known_set(obs), f"task.scenario: unknown observation {obs!r}")
-            threshold = _number(float, sc.get("match_threshold", 0.7),
-                                "task.scenario.match_threshold")
+            for j in range(len(rule_names)):
+                _ref(rule_names, j, rules, "rule", f"{where}.rules")
+            obs = _ref(sc, "observation", known, "observation", where)
+            threshold = float(_field(sc, "match_threshold", "a finite number", where, 0.7))
             _require(
                 0.0 <= threshold <= 1.0,
                 f"task.scenario: match_threshold must lie in [0, 1], got {threshold}",
             )
             scenario = ScenarioConfig(kind, tuple(rule_names), obs, threshold)
-        rule_name = entry.get("rule")
-        if rule_name is not None:
-            _require(_named(rule_name, rules), f"task: unknown rule {rule_name!r}")
-        input_name = entry.get("input")
-        if input_name is not None:
-            _require(known_set(input_name), f"task: unknown set or observation {input_name!r}")
-        levels = None
-        if "levels" in entry:
-            levels = _number(int, entry["levels"], "task.levels")
-            _require(levels >= 2, f"task.levels: needs at least 2 levels, got {levels}")
-        task = TaskConfig(
-            kind=entry.get("kind"),
-            rule=rule_name,
-            input=input_name,
-            levels=levels,
-            scenario=scenario,
-        )
+        levels = _field(entry, "levels", "an integer", "task", None)
+        _require(levels is None or levels >= 2,
+                 f"task.levels: needs at least 2 levels, got {levels}")
+        given = {"kind": _field(entry, "kind", "a string", "task", None),
+                 "rule": _ref(entry, "rule", rules, "rule", "task", None),
+                 "input": _ref(entry, "input", known, "set or observation", "task", None),
+                 "levels": levels}
+        spec["task"] = {k: v for k, v in given.items() if v is not None}
+        task = TaskConfig(**spec["task"], scenario=scenario)
+        if scenario is not None:
+            spec["task"]["scenario"] = {"kind": kind, "rules": rule_names,
+                                        "observation": obs, "match_threshold": threshold}
 
-    return Problem(
-        universe_defs, universes, set_defs, sets, rule_defs, rules, observations, task
-    )
+    return Problem(spec, universes, sets, rules, observations, task)
 
 
 def write_json(path: Optional[str], payload: dict) -> Optional[str]:

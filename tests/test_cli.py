@@ -221,6 +221,20 @@ MALFORMED = {
     "antecedent_list": ("temperature.json",
                         lambda d: d["rules"]["heat_persists"].update(antecedent=["x"]),
                         "rules.heat_persists"),
+    "levels_fraction": ("temperature.json", lambda d: d["task"].update(levels=2.7),
+                        "task.levels"),
+    "points_fraction": ("temperature.json", lambda d: d["universes"][0].update(points=4.9),
+                        "universes[0].points"),
+    # json.dumps writes an infinite float as the JSON extension Infinity
+    "points_infinity": ("temperature.json",
+                        lambda d: d["universes"][0].update(points=float("inf")),
+                        "universes[0].points"),
+    "levels_infinity": ("temperature.json", lambda d: d["task"].update(levels=float("inf")),
+                        "task.levels"),
+    "levels_string": ("temperature.json", lambda d: d["task"].update(levels="11"),
+                      "task.levels"),
+    "lo_bool": ("temperature.json", lambda d: d["universes"][0].update(lo=True),
+                "universes[0].lo"),
 }
 
 

@@ -1,4 +1,6 @@
 """Universe grids, membership shapes, and elementary set operations."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,14 @@ def test_singleton_tie_breaks_toward_lower_point():
 def test_gaussian_values():
     s = sample(Gaussian(100, 50), Universe("t", np.array([0.0, 50.0, 100.0])))
     assert s.mu == pytest.approx([np.exp(-4.0), np.exp(-1.0), 1.0])
+
+
+def test_narrow_gaussian_samples_without_overflow_warnings():
+    # (x - center) / width overflows to inf off the center; its degree is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = sample(Gaussian(100, 1e-310), make_universe("t", 0, 200, 5))
+    assert np.array_equal(s.mu, [0, 0, 1, 0, 0])
 
 
 def test_samples_passthrough_and_length_check():
