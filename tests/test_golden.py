@@ -31,6 +31,9 @@ CASES = {
     "infer_temperature": (["infer"], "temperature.json", ".json", True),
     "abduce_temperature": (["abduce"], "temperature.json", ".json", True),
     "enumerate_temperature": (["enumerate"], "temperature.json", ".json", True),
+    # 17 solutions among 21^5 candidates
+    "enumerate_temperature_21": (["enumerate", "--levels", "21"], "temperature.json", ".json",
+                                 True),
     "check_ops": (["check-ops"], None, ".json", True),
 }
 
