@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemError, UniverseMismatchError, ValueError, OSError) as exc:
+    except (ProblemError, UniverseMismatchError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -79,15 +79,34 @@ class FuzzySet:
     mu: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.shape != (len(self.universe),):
-            raise ValueError(
-                f"membership vector has {mu.shape} values for the "
-                f"{len(self.universe)}-point universe {self.universe.name!r}"
-            )
-        if not np.all(np.isfinite(mu)):
-            raise ValueError(f"membership degrees on {self.universe.name!r} must be finite")
-        object.__setattr__(self, "mu", _frozen(clamp01(mu)))
+        object.__setattr__(self, "mu", _membership(self.universe, self.mu, 1))
+
+    @classmethod
+    def rows(cls, universe: Universe, matrix) -> list[FuzzySet]:
+        """One set per row of a matrix, each as FuzzySet(universe, row) would
+        build it; the checks run once on the whole matrix and every set's
+        degrees are a read-only view of one row."""
+        sets = []
+        for row in _membership(universe, matrix, 2):
+            s = object.__new__(cls)
+            object.__setattr__(s, "universe", universe)
+            object.__setattr__(s, "mu", row)
+            sets.append(s)
+        return sets
+
+
+def _membership(universe: Universe, values, ndim: int) -> np.ndarray:
+    """Degrees checked, clamped and frozen: one vector over the universe's grid
+    when ndim is 1, a matrix of such vectors, one per row, when ndim is 2."""
+    mu = np.asarray(values, dtype=float)
+    if mu.shape[ndim - 1:] != (len(universe),):
+        raise ValueError(
+            f"membership vector has {mu.shape[ndim - 1:]} values for the "
+            f"{len(universe)}-point universe {universe.name!r}"
+        )
+    if not np.all(np.isfinite(mu)):
+        raise ValueError(f"membership degrees on {universe.name!r} must be finite")
+    return _frozen(clamp01(mu))
 
 
 class Shape:

@@ -4,10 +4,16 @@ Enumerates every antecedent candidate on a quantized degree grid and keeps
 the ones whose forward image reproduces the observation. Exponential in the
 number of grid points, so it only runs on deliberately small universes; its
 job is to check the analytical hypotheses, not to scale.
+
+The image of a candidate is the pointwise maximum of one row of a level table,
+T(level, R(u, v)), per grid point u. Candidates grow one coordinate at a time
+as integer codes beside their partial images, and a prefix whose partial image
+already exceeds the observation by more than the tolerance is dropped: a
+maximum only grows, so none of its completions can match. Prefixes expand in
+blocks, so memory stays bounded however many candidates there are.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -20,7 +26,8 @@ from .operators import tnorm_fn
 log = logging.getLogger(__name__)
 
 _MAX_CANDIDATES = 10_000_000
-_CHUNK = 65_536
+#: rows of |V| degrees that one expansion step may hold (at least one level's worth)
+_CHUNK = 8_192
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,15 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
     The observation is snapped to the quantization grid first (the shift is
     logged when non-zero); matching is within the standard tolerance.
     Candidates come back in lexicographic order of their degree vectors.
+
+    The scan tabulates T(level, R(u, v)) once for every grid point u, level
+    and v; a candidate's image is the maximum of its points' rows. It places
+    one point at a time and drops each prefix whose partial image exceeds the
+    observation by more than the tolerance at some v: the image of every
+    completion is at least as large there, so none of them can match. Each
+    step expands a block of prefixes into at most max(_CHUNK, levels)
+    candidates, so memory does not grow with the search space. The final test
+    and the hits are those of testing every candidate's full image.
     """
     check_universe(b_prime, relation.v_universe, "observation", "into")
     n = len(relation.u_universe)
@@ -72,20 +88,35 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
             "observation snapped to %d-level grid; largest shift %.6g",
             search.levels, snap_distance,
         )
-    t = tnorm_fn(tnorm)
     grid = np.linspace(0.0, 1.0, search.levels)
-    degrees = relation.degrees
-    found: list[FuzzySet] = []
-    candidates = itertools.product(grid, repeat=n)
-    while True:
-        block = list(itertools.islice(candidates, _CHUNK))
-        if not block:
-            break
-        cand = np.array(block)
-        images = np.max(t(cand[:, :, None], degrees[None, :, :]), axis=1)
-        hits = np.all(np.abs(images - target[None, :]) <= TOL, axis=1)
-        found.extend(FuzzySet(relation.u_universe, row) for row in cand[hits])
-    return found
+    table = tnorm_fn(tnorm)(grid[None, :, None], relation.degrees[:, None, :])
+    # start from the empty prefix, code 0, whose image is 0 everywhere
+    hits = list(_hit_codes(table, target, np.zeros((1, len(target))),
+                           np.zeros(1, dtype=np.int64)))
+    codes = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
+    index = np.stack(np.unravel_index(codes, (search.levels,) * n), axis=1)
+    return FuzzySet.rows(relation.u_universe, grid[index])
+
+
+def _hit_codes(table: np.ndarray, target: np.ndarray, images: np.ndarray,
+               codes: np.ndarray):
+    """Yield blocks of matching candidates' codes, in lexicographic order.
+
+    codes holds the prefixes placed so far as mixed-radix integers (first
+    point most significant) and images their partial images; table holds the
+    level rows of the points still to place, table[u, k, v] = T(level k, R(u, v)).
+    """
+    levels, width = table.shape[1:]
+    step = max(1, _CHUNK // levels)
+    for lo in range(0, len(codes), step):
+        grown = np.maximum(images[lo:lo + step, None, :], table[0]).reshape(-1, width)
+        grown_codes = (codes[lo:lo + step, None] * levels + np.arange(levels)).ravel()
+        if len(table) == 1:
+            yield grown_codes[np.all(np.abs(grown - target) <= TOL, axis=1)]
+        else:
+            keep = np.all(grown - target <= TOL, axis=1)
+            grown, grown_codes = grown[keep], grown_codes[keep]
+            yield from _hit_codes(table[1:], target, grown, grown_codes)
 
 
 def greatest_enumerated(solutions: list[FuzzySet]) -> FuzzySet | None:

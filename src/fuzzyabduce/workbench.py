@@ -153,10 +153,11 @@ def _list(entry, key, kind: str, where: str, default=_REQUIRED) -> list:
 
 
 def _built(where: str, make, *args):
-    """make(*args), with a ValueError reported as a ProblemError naming where."""
+    """make(*args), with a ValueError, or a MemoryError from a grid too large to
+    allocate, reported as a ProblemError naming where."""
     try:
         return make(*args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ProblemError(f"{where}: {exc}") from exc
 
 

@@ -235,6 +235,9 @@ MALFORMED = {
                       "task.levels"),
     "lo_bool": ("temperature.json", lambda d: d["universes"][0].update(lo=True),
                 "universes[0].lo"),
+    # 8 EB of grid: beyond any address space, so the allocation fails at once
+    "points_huge": ("temperature.json", lambda d: d["universes"][0].update(points=10 ** 18),
+                    "universes[0]"),
 }
 
 
@@ -246,6 +249,13 @@ def test_malformed_problem_exits_1_naming_the_entry(capsys, tmp_path, case):
     code, _, err = run(capsys, command, "--problem", path)
     assert code == 1
     assert err.startswith(f"error: {entry}"), err
+
+
+def test_grid_points_too_large_to_allocate_exits_1(capsys, temperature_path):
+    code, _, err = run(capsys, "infer", "--problem", temperature_path,
+                       "--grid-points", str(10 ** 18))
+    assert code == 1
+    assert err.startswith("error: universes[0]") and "allocate" in err
 
 
 def test_enumerate_rejects_levels_below_2(capsys, temperature_path):

@@ -1,11 +1,17 @@
 """Brute-force enumeration of exact antecedents on quantized small instances."""
+import itertools
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzyabduce import oracle
 from fuzzyabduce.core import FuzzySet, Universe, UniverseMismatchError, make_universe
 from fuzzyabduce.inference import Relation, Rule, build_relation, gmp
+from fuzzyabduce.operators import tnorm_fn
 from fuzzyabduce.oracle import (
     QuantizedSearch,
     enumerate_solutions,
@@ -139,3 +145,65 @@ def test_enumeration_agrees_with_a_naive_filter(data):
         if np.all(np.abs(image.mu - bp) <= 1e-9):
             expected.append(tuple(FuzzySet(u, list(cand)).mu))
     assert got_vectors == expected
+
+
+def unpruned_scan(relation, b_prime, tnorm, levels):
+    """Every candidate's full image, tested in lexicographic order: the scan
+    the pruned oracle must reproduce exactly."""
+    target, _ = snap_to_levels(b_prime.mu, levels)
+    grid = np.linspace(0.0, 1.0, levels)
+    cand = np.array(list(itertools.product(grid, repeat=len(relation.u_universe))))
+    images = np.max(tnorm_fn(tnorm)(cand[:, :, None], relation.degrees[None, :, :]), axis=1)
+    hits = np.all(np.abs(images - target[None, :]) <= 1e-9, axis=1)
+    return [FuzzySet(relation.u_universe, row) for row in cand[hits]]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pruned_scan_matches_the_unpruned_scan(data):
+    """Same solutions, in the same order and byte for byte, for every block size,
+    with observations that are images of grid candidates (so most instances
+    have solutions) or arbitrary degrees."""
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 4))
+    levels = data.draw(st.sampled_from([3, 5, 11]))
+    t_kind = data.draw(st.sampled_from(["minimum", "product", "lukasiewicz"]))
+    degree = st.floats(0, 1, allow_nan=False)
+    quantized = data.draw(st.booleans())
+    q = st.sampled_from([i / (levels - 1) for i in range(levels)]) if quantized else degree
+    r = np.array(data.draw(st.lists(st.lists(q, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    u = Universe("u", np.arange(m, dtype=float))
+    v = Universe("v", np.arange(n, dtype=float))
+    relation = Relation(u, v, r)
+    if data.draw(st.integers(0, 3)):
+        known = np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=m,
+                                            max_size=m))) / (levels - 1)
+        observed = np.max(tnorm_fn(t_kind)(known[:, None], r), axis=0)
+    else:
+        observed = np.array(data.draw(st.lists(degree, min_size=n, max_size=n)))
+    target = FuzzySet(v, observed)
+    search = QuantizedSearch(levels=levels)
+
+    want = [s.mu.tobytes() for s in unpruned_scan(relation, target, t_kind, levels)]
+    for chunk in (oracle._CHUNK, 1, 7, 121):
+        with patch.object(oracle, "_CHUNK", chunk):
+            got = enumerate_solutions(relation, target, t_kind, search)
+        assert [s.mu.tobytes() for s in got] == want, f"_CHUNK={chunk}"
+        assert all(s.universe is u and not s.mu.flags.writeable for s in got)
+
+
+def test_unprunable_wide_instance_stays_within_its_memory_bound():
+    # R = 1 and B' = 1: no partial image ever exceeds the observation, so the
+    # scan cannot drop a prefix; the hits are the candidates with some degree 1
+    u = make_universe("u", 0, 1, 5)
+    v = make_universe("v", 0, 1, 101)
+    relation = Relation(u, v, np.ones((5, 101)))
+    tracemalloc.start()
+    try:
+        solutions = enumerate_solutions(relation, FuzzySet(v, np.ones(101)), "minimum")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(solutions) == 11 ** 5 - 10 ** 5
+    assert peak < 64e6
