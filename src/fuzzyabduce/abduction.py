@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import TOL, FuzzySet, clamp01
 from .inference import CERTAINTY, VARIATION, Relation, Rule, build_relation, check_universe, gmp
-from .operators import CONTRAPOSITIVE_S, implication_fn, tnorm_fn
+from .operators import ANTITONE, CONTRAPOSITIVE_S, implication_fn
 
 SOLVABLE_POSSIBLY = "solvable_possibly"
 UNSOLVABLE = "unsolvable"
@@ -74,7 +74,7 @@ def check_solvability(relation: Relation, b_prime: FuzzySet) -> Solvability:
     not exist.
     """
     check_universe(b_prime, relation.v_universe, "observation", "into")
-    column_sup = np.max(relation.degrees, axis=0)
+    column_sup = _column_sup(relation)
     deficit = b_prime.mu - column_sup
     j = int(np.argmax(deficit))
     if deficit[j] > TOL:
@@ -85,6 +85,21 @@ def check_solvability(relation: Relation, b_prime: FuzzySet) -> Solvability:
         )
         return Solvability(UNSOLVABLE, witness)
     return Solvability(SOLVABLE_POSSIBLY)
+
+
+def _column_sup(relation: Relation) -> np.ndarray:
+    """max over u of relation(u, v) for every v.
+
+    A rule relation whose implication never rises as its antecedent grows
+    (operators.ANTITONE) has its column maxima in the row of its least
+    antecedent degree. For any other relation, min(1, x) = x, so the image
+    of the all-ones set is each column's supremum.
+    """
+    if relation.implication in ANTITONE:
+        i = int(np.argmin(relation.a))
+        return relation.rows(i, i + 1)[0]
+    return gmp(relation, FuzzySet(relation.u_universe, np.ones(len(relation.u_universe))),
+               "minimum").mu
 
 
 def _verify(relation: Relation, hypothesis: FuzzySet, observed: FuzzySet,
@@ -99,9 +114,8 @@ def _verify(relation: Relation, hypothesis: FuzzySet, observed: FuzzySet,
 def abduce_certainty(rule: Rule, b_prime: FuzzySet, tnorm: str) -> AbductionResult:
     """Contraposition hypothesis for a certainty rule.
 
-    Tabulates the flipped rule "if v is not-consequent then u is
-    not-antecedent" with the same implication and takes the observation's
-    image through it:
+    Feeds the observation forward through the flipped rule "if v is
+    not-consequent then u is not-antecedent" with the same implication:
 
         hypothesis(u) = max over v of T(b_prime(v), S(1 - B(v), 1 - A(u)))
 
@@ -120,12 +134,10 @@ def abduce_certainty(rule: Rule, b_prime: FuzzySet, tnorm: str) -> AbductionResu
         )
     forward = build_relation(rule)
     solvability = check_solvability(forward, b_prime)
-    # the contraposed relation, tabulated over (v, u)
-    impl = implication_fn(rule.implication)
-    flipped = clamp01(impl(1.0 - rule.consequent.mu[:, None], 1.0 - rule.antecedent.mu[None, :]))
-    t = tnorm_fn(tnorm)
-    hypothesis = FuzzySet(rule.antecedent.universe,
-                          np.max(t(b_prime.mu[:, None], flipped), axis=0))
+    contraposed = Relation(rule.consequent.universe, rule.antecedent.universe,
+                           a=1.0 - rule.consequent.mu, b=1.0 - rule.antecedent.mu,
+                           implication=rule.implication)
+    hypothesis = gmp(contraposed, b_prime, tnorm)
     return AbductionResult(
         hypothesis=hypothesis,
         scheme=CERTAINTY_SCHEME,
@@ -149,8 +161,12 @@ def abduce_variation(rule: Rule, b_prime: FuzzySet) -> AbductionResult:
         raise ValueError(f"abduce_variation needs a variation rule, got {rule.semantics!r}")
     relation = build_relation(rule)
     solvability = check_solvability(relation, b_prime)
-    impl = implication_fn(rule.implication)
-    bound = np.min(impl(relation.degrees, b_prime.mu[None, :]), axis=1)
+    if rule.implication == "goedel":
+        bound = _goedel_bound(relation.a, relation.b, b_prime.mu)
+    else:
+        impl = implication_fn(rule.implication)
+        o = b_prime.mu[None, :]
+        bound = np.concatenate([np.min(impl(rows, o), axis=1) for _, rows in relation.blocks()])
     hypothesis = FuzzySet(relation.u_universe, clamp01(bound))
     return AbductionResult(
         hypothesis=hypothesis,
@@ -158,3 +174,18 @@ def abduce_variation(rule: Rule, b_prime: FuzzySet) -> AbductionResult:
         solvability=solvability,
         roundtrip=_verify(relation, hypothesis, b_prime, rule.tnorm),
     )
+
+
+def _goedel_bound(a: np.ndarray, b: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """min over v of goedel(goedel(a(u), b(v)), o(v)), with b sorted once.
+
+    Where b(v) >= a(u) the term is o(v); elsewhere it is o(v) if b(v) > o(v)
+    and 1 otherwise. So each u needs the least o over a suffix of the sorted
+    b, and over a prefix the least o among the v where b(v) > o(v).
+    """
+    order = np.argsort(b, kind="stable")
+    bs, os_ = b[order], o[order]
+    k = np.searchsorted(bs, a, side="left")  # v from k on have b(v) >= a(u)
+    suffix = np.concatenate((np.minimum.accumulate(os_[::-1])[::-1], [1.0]))
+    prefix = np.concatenate(([1.0], np.minimum.accumulate(np.where(bs > os_, os_, 1.0))))
+    return np.minimum(prefix[k], suffix[k])

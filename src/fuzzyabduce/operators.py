@@ -153,6 +153,12 @@ R_IMPLICATIONS: dict[str, Callable] = {
 #: zadeh's implication fails this identity and is deliberately excluded.
 CONTRAPOSITIVE_S = frozenset({"reichenbach", "kleene_dienes", "lukasiewicz"})
 
+#: implications whose closed forms, as computed, never rise as the antecedent
+#: grows: each is built from operations that round monotonically. reichenbach's
+#: 1 - a + a*b is antitone only in exact arithmetic, as a sum of a falling and
+#: a rising rounded term, so it is left out.
+ANTITONE = frozenset({"goedel", "goguen", "kleene_dienes", "lukasiewicz"})
+
 RESIDUUM_FOR_TNORM = {
     "minimum": "goedel",
     "product": "goguen",

@@ -258,6 +258,22 @@ def test_grid_points_too_large_to_allocate_exits_1(capsys, temperature_path):
     assert err.startswith("error: universes[0]") and "allocate" in err
 
 
+def test_grid_points_over_the_fold_limit_exits_1_naming_both_universes(capsys, tmp_path):
+    # the observation's seven samples fit only the shipped 7-point grid
+    path = write_mutated(tmp_path, "causal_medical.json", lambda d: d["sets"]["fever_observed"]
+                         .update(shape="triangular", params=[37, 39.5, 42]))
+    # the goedel rules take closed forms at any size; the goguen rule's bound
+    # is a fold over 20,000 x 20,000 cells
+    code, out, err = run(capsys, "abduce", "--problem", path, "--grid-points", "20000",
+                         "--rule", "severe_infection_drives_high_fever",
+                         "--observation", "fever_observed", "--bound")
+    assert code == 0 and out.startswith("rule: severe_infection_drives_high_fever")
+    code, out, err = run(capsys, "scenario", "--problem", path, "--grid-points", "20000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the goguen relation from 'infection' (20000 points) "
+                          "to 'fever' (20000 points) has 400000000 cells, over the limit")
+
+
 def test_enumerate_rejects_levels_below_2(capsys, temperature_path):
     code, _, err = run(capsys, "enumerate", "--problem", temperature_path, "--levels", "0")
     assert code == 1
