@@ -64,62 +64,3 @@ from .workbench import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "TOL",
-    "FuzzySet",
-    "Gaussian",
-    "Samples",
-    "Shape",
-    "Singleton",
-    "Trapezoidal",
-    "Triangular",
-    "Universe",
-    "UniverseMismatchError",
-    "compatibility",
-    "complement",
-    "core_points",
-    "height",
-    "is_normalized",
-    "make_universe",
-    "sample",
-    "CONTRAPOSITIVE_S",
-    "DUAL_TCONORM",
-    "RESIDUUM_FOR_TNORM",
-    "TNORM_FOR_RESIDUUM",
-    "PropertyReport",
-    "implication",
-    "property_suite",
-    "residuum_oracle",
-    "tconorm",
-    "tnorm",
-    "CERTAINTY",
-    "VARIATION",
-    "Relation",
-    "Rule",
-    "build_relation",
-    "gmp",
-    "SOLVABLE_POSSIBLY",
-    "UNSOLVABLE",
-    "AbductionResult",
-    "Solvability",
-    "SolvabilityWitness",
-    "VerificationReport",
-    "abduce_certainty",
-    "abduce_variation",
-    "check_solvability",
-    "QuantizedSearch",
-    "enumerate_solutions",
-    "greatest_enumerated",
-    "snap_to_levels",
-    "AGGREGATION_LABEL",
-    "Problem",
-    "ProblemError",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "emit_plot_data",
-    "load_problem",
-    "run_causal_scenario",
-    "run_fault_scenario",
-    "save_problem",
-]

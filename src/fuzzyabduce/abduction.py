@@ -21,9 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TOL, FuzzySet, clamp01
-from .inference import CERTAINTY, VARIATION, Relation, Rule, build_relation, check_universe, gmp
-from .operators import ANTITONE, CONTRAPOSITIVE_S, implication_fn
+from .core import TOL, FuzzySet
+from .inference import (CERTAINTY, VARIATION, Relation, Rule, build_relation, check_universe,
+                        column_sup, gmp, residual_bound)
+from .operators import CONTRAPOSITIVE_S
 
 SOLVABLE_POSSIBLY = "solvable_possibly"
 UNSOLVABLE = "unsolvable"
@@ -74,32 +75,17 @@ def check_solvability(relation: Relation, b_prime: FuzzySet) -> Solvability:
     not exist.
     """
     check_universe(b_prime, relation.v_universe, "observation", "into")
-    column_sup = _column_sup(relation)
-    deficit = b_prime.mu - column_sup
+    available = column_sup(relation)
+    deficit = b_prime.mu - available
     j = int(np.argmax(deficit))
     if deficit[j] > TOL:
         witness = SolvabilityWitness(
             point=float(relation.v_universe.grid[j]),
             required=float(b_prime.mu[j]),
-            available=float(column_sup[j]),
+            available=float(available[j]),
         )
         return Solvability(UNSOLVABLE, witness)
     return Solvability(SOLVABLE_POSSIBLY)
-
-
-def _column_sup(relation: Relation) -> np.ndarray:
-    """max over u of relation(u, v) for every v.
-
-    A rule relation whose implication never rises as its antecedent grows
-    (operators.ANTITONE) has its column maxima in the row of its least
-    antecedent degree. For any other relation, min(1, x) = x, so the image
-    of the all-ones set is each column's supremum.
-    """
-    if relation.implication in ANTITONE:
-        i = int(np.argmin(relation.a))
-        return relation.rows(i, i + 1)[0]
-    return gmp(relation, FuzzySet(relation.u_universe, np.ones(len(relation.u_universe))),
-               "minimum").mu
 
 
 def _verify(relation: Relation, hypothesis: FuzzySet, observed: FuzzySet,
@@ -161,31 +147,10 @@ def abduce_variation(rule: Rule, b_prime: FuzzySet) -> AbductionResult:
         raise ValueError(f"abduce_variation needs a variation rule, got {rule.semantics!r}")
     relation = build_relation(rule)
     solvability = check_solvability(relation, b_prime)
-    if rule.implication == "goedel":
-        bound = _goedel_bound(relation.a, relation.b, b_prime.mu)
-    else:
-        impl = implication_fn(rule.implication)
-        o = b_prime.mu[None, :]
-        bound = np.concatenate([np.min(impl(rows, o), axis=1) for _, rows in relation.blocks()])
-    hypothesis = FuzzySet(relation.u_universe, clamp01(bound))
+    hypothesis = residual_bound(relation, b_prime, rule.tnorm)
     return AbductionResult(
         hypothesis=hypothesis,
         scheme=VARIATION_SCHEME,
         solvability=solvability,
         roundtrip=_verify(relation, hypothesis, b_prime, rule.tnorm),
     )
-
-
-def _goedel_bound(a: np.ndarray, b: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """min over v of goedel(goedel(a(u), b(v)), o(v)), with b sorted once.
-
-    Where b(v) >= a(u) the term is o(v); elsewhere it is o(v) if b(v) > o(v)
-    and 1 otherwise. So each u needs the least o over a suffix of the sorted
-    b, and over a prefix the least o among the v where b(v) > o(v).
-    """
-    order = np.argsort(b, kind="stable")
-    bs, os_ = b[order], o[order]
-    k = np.searchsorted(bs, a, side="left")  # v from k on have b(v) >= a(u)
-    suffix = np.concatenate((np.minimum.accumulate(os_[::-1])[::-1], [1.0]))
-    prefix = np.concatenate(([1.0], np.minimum.accumulate(np.where(bs > os_, os_, 1.0))))
-    return np.minimum(prefix[k], suffix[k])

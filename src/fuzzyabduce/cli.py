@@ -156,11 +156,12 @@ def cmd_enumerate(args) -> int:
     search = QuantizedSearch(levels=levels, max_points=args.max_points)
 
     relation = build_relation(rule)
+    # enumerate first: its candidate limit rejects a level count too large for a float
+    solutions = enumerate_solutions(relation, observed, rule.tnorm, search)
     _, snap_distance = snap_to_levels(observed.mu, levels)
     if snap_distance > 1e-9:
         print(f"observation snapped to the {levels}-level grid "
               f"(largest shift {snap_distance:.6f})")
-    solutions = enumerate_solutions(relation, observed, rule.tnorm, search)
     print(f"exact solutions at {levels} levels: {len(solutions)}")
     shown = solutions[:20]
     for s in shown:

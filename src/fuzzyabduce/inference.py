@@ -9,6 +9,8 @@ import numpy as np
 
 from .core import FuzzySet, Universe, UniverseMismatchError, clamp01
 from .operators import (
+    ANTITONE,
+    RESIDUUM_FOR_TNORM,
     S_IMPLICATIONS,
     R_IMPLICATIONS,
     TNORM_FOR_RESIDUUM,
@@ -212,3 +214,52 @@ def _goedel_minimum_image(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.nda
     prefix = np.concatenate(([0.0], np.maximum.accumulate(ps)))       # max of ps[:k]
     suffix = np.concatenate((np.maximum.accumulate(ps[::-1])[::-1], [0.0]))  # of ps[k:]
     return np.maximum(prefix[k], np.minimum(suffix[k], b))
+
+
+def column_sup(relation: Relation) -> np.ndarray:
+    """max over u of relation(u, v) for every v.
+
+    A rule relation whose implication never rises as its antecedent grows
+    (operators.ANTITONE) has its column maxima in the row of its least
+    antecedent degree. For any other relation, min(1, x) = x, so the image
+    of the all-ones set is each column's supremum.
+    """
+    if relation.implication in ANTITONE:
+        i = int(np.argmin(relation.a))
+        return relation.rows(i, i + 1)[0]
+    return gmp(relation, FuzzySet(relation.u_universe, np.ones(len(relation.u_universe))),
+               "minimum").mu
+
+
+def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzySet:
+    """min over v of I_T(relation(u, v), observed(v)) at each u, I_T the residuum of T.
+
+    Every solution of gmp(relation, x, tnorm) = observed lies at or below it, and
+    for a left-continuous T it is the greatest solution whenever one exists
+    (Sanchez 1976). A goedel rule relation under minimum takes a closed form.
+    """
+    check_universe(observed, relation.v_universe, "observation", "into")
+    tnorm_fn(tnorm)  # raises on an unknown t-norm
+    residuum = RESIDUUM_FOR_TNORM[canonical_name(tnorm)]
+    if relation.implication == "goedel" and residuum == "goedel":
+        bound = _goedel_bound(relation.a, relation.b, observed.mu)
+    else:
+        impl = implication_fn(residuum)
+        o = observed.mu[None, :]
+        bound = np.concatenate([np.min(impl(rows, o), axis=1) for _, rows in relation.blocks()])
+    return FuzzySet(relation.u_universe, clamp01(bound))
+
+
+def _goedel_bound(a: np.ndarray, b: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """min over v of goedel(goedel(a(u), b(v)), o(v)), with b sorted once.
+
+    Where b(v) >= a(u) the term is o(v); elsewhere it is o(v) if b(v) > o(v)
+    and 1 otherwise. So each u needs the least o over a suffix of the sorted
+    b, and over a prefix the least o among the v where b(v) > o(v).
+    """
+    order = np.argsort(b, kind="stable")
+    bs, os_ = b[order], o[order]
+    k = np.searchsorted(bs, a, side="left")  # v from k on have b(v) >= a(u)
+    suffix = np.concatenate((np.minimum.accumulate(os_[::-1])[::-1], [1.0]))
+    prefix = np.concatenate(([1.0], np.minimum.accumulate(np.where(bs > os_, os_, 1.0))))
+    return np.minimum(prefix[k], suffix[k])

@@ -192,18 +192,6 @@ def implication_fn(kind: str) -> Callable:
     raise ValueError(f"unknown implication {kind!r}; choose from {known}")
 
 
-def is_s_implication(kind: str) -> bool:
-    return canonical_name(kind) in S_IMPLICATIONS
-
-
-def is_r_implication(kind: str) -> bool:
-    return canonical_name(kind) in R_IMPLICATIONS
-
-
-def has_contrapositive_symmetry(kind: str) -> bool:
-    return canonical_name(kind) in CONTRAPOSITIVE_S
-
-
 def implication(kind: str, a: float, b: float) -> float:
     """Degree to which antecedent degree a implies consequent degree b."""
     fn = implication_fn(kind)

@@ -174,6 +174,8 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
             raise ProblemError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise ProblemError(f"{path}: JSON nested too deeply to parse") from exc
     _require(isinstance(data, dict), f"{path}: top level must be a JSON object")
     spec: dict = {"universes": [], "sets": {}, "rules": {}}
 

@@ -190,6 +190,27 @@ def test_grid_points_flag(capsys, temperature_path):
     assert image_line.count(",") == 8
 
 
+@pytest.mark.parametrize("name, entry", [
+    ("causal_medical.json", "sets.fever_observed"),
+    ("circuit_fault.json", "sets.v_drifting_high"),
+])
+def test_grid_points_leave_samples_sets_at_their_own_size(capsys, name, entry):
+    # a samples set keeps its number of degrees, so it fits only its shipped grid
+    code, out, err = run(capsys, "scenario", "--problem", bundled_problem(name),
+                         "--grid-points", "9")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {entry}: samples:") and "9-point universe" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_deeply_nested_problem_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "infer", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: JSON nested too deeply to parse\n"
+
+
 def write_mutated(tmp_path, name, mutate):
     data = json.loads(Path(bundled_problem(name)).read_text(encoding="utf-8"))
     mutate(data)
@@ -278,6 +299,24 @@ def test_enumerate_rejects_levels_below_2(capsys, temperature_path):
     code, _, err = run(capsys, "enumerate", "--problem", temperature_path, "--levels", "0")
     assert code == 1
     assert err.startswith("error:") and "at least 2 levels" in err
+
+
+# 1 followed by 400 zeros: too large for a float, so the candidate limit must
+# reject it before the observation is snapped to that many levels
+HUGE_LEVELS = 10 ** 400
+
+
+@pytest.mark.parametrize("source", ["flag", "task"])
+def test_enumerate_rejects_levels_too_large_for_a_float(capsys, tmp_path, source):
+    if source == "flag":
+        argv = ["--problem", bundled_problem("temperature.json"), "--levels", str(HUGE_LEVELS)]
+    else:
+        argv = ["--problem", write_mutated(tmp_path, "temperature.json",
+                                           lambda d: d["task"].update(levels=HUGE_LEVELS))]
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: search space of") and "exceeds the limit" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_check_ops_rejects_levels_below_2(capsys):

@@ -14,20 +14,21 @@ from hypothesis import strategies as st
 
 from fuzzyabduce.abduction import (
     UNSOLVABLE,
-    _column_sup,
-    _goedel_bound,
     abduce_certainty,
     abduce_variation,
     check_solvability,
 )
-from fuzzyabduce.core import FuzzySet, Universe
+from fuzzyabduce.core import FuzzySet, Universe, UniverseMismatchError
 from fuzzyabduce.inference import (
     BLOCK_CELLS,
     MAX_FOLD_CELLS,
     Relation,
     Rule,
+    _goedel_bound,
     build_relation,
+    column_sup,
     gmp,
+    residual_bound,
 )
 from fuzzyabduce.operators import (
     ANTITONE,
@@ -117,8 +118,8 @@ def test_column_supremum_equals_the_full_table(drawn, impl):
     table = dense(a, b, impl)
     want = np.max(table, axis=0)
     lazy = Relation(u, v, a=a, b=b, implication=impl)
-    assert np.array_equal(_column_sup(lazy), want)
-    assert np.array_equal(_column_sup(Relation(u, v, table)), want)
+    assert np.array_equal(column_sup(lazy), want)
+    assert np.array_equal(column_sup(Relation(u, v, table)), want)
     ones = FuzzySet(u, np.ones(len(a)))
     assert np.array_equal(gmp(lazy, ones, "minimum").mu, want)
     verdict = check_solvability(lazy, FuzzySet(v, o))
@@ -144,6 +145,28 @@ def test_goedel_bound_equals_the_full_table(drawn):
     a, b, _, o = drawn
     assert np.array_equal(np.clip(_goedel_bound(a, b, o), 0.0, 1.0),
                           dense_bound(dense(a, b, "goedel"), o, "goedel"))
+
+
+@given(any_vectors, st.sampled_from(IMPLICATIONS), st.sampled_from(sorted(TNORMS)))
+@settings(max_examples=400, deadline=None)
+def test_residual_bound_equals_the_full_table(drawn, impl, tnorm):
+    # any relation under any t-norm, bounded through that t-norm's residuum:
+    # the goedel closed form serves only the goedel relation under minimum
+    a, b, _, o = drawn
+    u, v = universe("u", len(a)), universe("v", len(b))
+    table = dense(a, b, impl)
+    want = dense_bound(table, o, RESIDUUM_FOR_TNORM[tnorm])
+    observed = FuzzySet(v, o)
+    assert np.array_equal(residual_bound(Relation(u, v, a=a, b=b, implication=impl),
+                                         observed, tnorm).mu, want)
+    assert np.array_equal(residual_bound(Relation(u, v, table), observed, tnorm).mu, want)
+
+
+def test_residual_bound_checks_the_observation_universe():
+    u, v = universe("u", 2), universe("v", 2)
+    relation = Relation(u, v, a=np.ones(2), b=np.ones(2), implication="goedel")
+    with pytest.raises(UniverseMismatchError, match="maps into 'v'"):
+        residual_bound(relation, FuzzySet(u, [0.5, 0.5]), "minimum")
 
 
 @given(any_vectors, st.sampled_from(sorted(RESIDUUM_FOR_TNORM.items())))

@@ -14,11 +14,8 @@ from fuzzyabduce.operators import (
     TNORM_FOR_RESIDUUM,
     TNORMS,
     canonical_name,
-    has_contrapositive_symmetry,
     implication,
     implication_fn,
-    is_r_implication,
-    is_s_implication,
     property_suite,
     residuum_gap,
     residuum_oracle,
@@ -98,11 +95,11 @@ def test_out_of_range_degrees_rejected():
 
 
 def test_family_predicates():
-    assert is_s_implication("zadeh") and not is_r_implication("zadeh")
-    assert is_r_implication("goedel") and not is_s_implication("goedel")
-    assert is_s_implication("lukasiewicz") and is_r_implication("lukasiewicz")
-    assert has_contrapositive_symmetry("kleene_dienes")
-    assert not has_contrapositive_symmetry("zadeh")
+    assert "zadeh" in S_IMPLICATIONS and "zadeh" not in R_IMPLICATIONS
+    assert "goedel" in R_IMPLICATIONS and "goedel" not in S_IMPLICATIONS
+    assert "lukasiewicz" in S_IMPLICATIONS and "lukasiewicz" in R_IMPLICATIONS
+    assert "kleene_dienes" in CONTRAPOSITIVE_S
+    assert "zadeh" not in CONTRAPOSITIVE_S
     assert CONTRAPOSITIVE_S == {"reichenbach", "kleene_dienes", "lukasiewicz"}
 
 
