@@ -75,6 +75,34 @@ def test_abduce_bound_flag_reports_best_candidate(capsys, tmp_path):
     assert "hypothesis on cause: 0.200000, 0.200000" in out
 
 
+def test_abduce_bound_json_output_bytes(capsys, tmp_path):
+    """The --out file of an unsolvable instance, witness included, byte for byte."""
+    path = write_unsolvable_problem(tmp_path)
+    out_path = tmp_path / "bound.json"
+    code, _, _ = run(capsys, "abduce", "--problem", path, "--bound", "--out", str(out_path))
+    assert code == 0
+    cause = {"universe": "cause", "grid": [0.0, 1.0], "mu": [0.2, 0.2]}
+    want = {
+        "rule": "capped",
+        "observation": "reading",
+        "result": {
+            "scheme": "variation_bound",
+            "hypothesis": cause,
+            "solvability": {
+                "verdict": "unsolvable",
+                "witness": {"point": 0.0, "required": 0.9, "available": 0.3},
+            },
+            "roundtrip": {
+                "reproduced": {"universe": "effect", "grid": [0.0, 1.0], "mu": [0.2, 0.2]},
+                "max_abs_residual": 0.7,
+                "covers_observation": False,
+                "within_observation": True,
+            },
+        },
+    }
+    assert out_path.read_bytes() == (json.dumps(want, indent=2) + "\n").encode("utf-8")
+
+
 def test_abduce_json_output(capsys, temperature_path, tmp_path):
     out_path = tmp_path / "result.json"
     code, _, _ = run(capsys, "abduce", "--problem", temperature_path, "--out", str(out_path))

@@ -30,6 +30,9 @@ CASES = {
                          False),
     "infer_temperature": (["infer"], "temperature.json", ".json", True),
     "abduce_temperature": (["abduce"], "temperature.json", ".json", True),
+    # a certainty rule: the contraposition scheme
+    "abduce_circuit_fault": (["abduce", "--rule", "psu_ok", "--observation", "observed_output"],
+                             "circuit_fault.json", ".json", True),
     "enumerate_temperature": (["enumerate"], "temperature.json", ".json", True),
     # 17 solutions among 21^5 candidates
     "enumerate_temperature_21": (["enumerate", "--levels", "21"], "temperature.json", ".json",
