@@ -60,8 +60,8 @@ class VerificationReport:
 
 @dataclass(frozen=True, eq=False)
 class AbductionResult:
-    hypothesis: FuzzySet
     scheme: str
+    hypothesis: FuzzySet
     solvability: Solvability
     roundtrip: VerificationReport
 

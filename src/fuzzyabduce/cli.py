@@ -17,13 +17,11 @@ from .workbench import (
     FAULT_COMPONENT,
     ProblemError,
     TaskConfig,
-    _fuzzyset_dict,
     emit_plot_data,
     format_degrees,
     load_problem,
     render_report,
     report_as_dict,
-    result_as_dict,
     result_lines,
     run_causal_scenario,
     run_fault_scenario,
@@ -117,7 +115,7 @@ def cmd_infer(args) -> int:
     print(f"input on {a_prime.universe.name}: {format_degrees(a_prime.mu)}")
     print(f"image on {image.universe.name}: {format_degrees(image.mu)}")
     write_json(args.out, {"rule": rule_name, "input": input_name,
-                          "image": _fuzzyset_dict(image)})
+                          "image": report_as_dict(image)})
     return 0
 
 
@@ -143,7 +141,7 @@ def cmd_abduce(args) -> int:
     print(hypothesis)
     print(roundtrip)
     write_json(args.out, {"rule": rule_name, "observation": obs_name,
-                          "result": result_as_dict(result)})
+                          "result": report_as_dict(result)})
     return 0
 
 
@@ -189,10 +187,11 @@ _ORACLE_GRID = 101
 def cmd_check_ops(args) -> int:
     levels = args.levels
     payload: dict = {"grid_levels": levels, "suites": [], "residuum": []}
+    # the first suites run before the header, so a rejected level count prints nothing
+    reports = [property_suite(t, i, levels) for t, i in sorted(RESIDUUM_FOR_TNORM.items())]
     print(f"property suite (grid levels: {levels})")
-    for t_name, impl_name in sorted(RESIDUUM_FOR_TNORM.items()):
-        report = property_suite(t_name, impl_name, levels)
-        print(f"{t_name}/{impl_name}:")
+    for report in reports:
+        print(f"{report.tnorm}/{report.implication}:")
         _print_suite(report, payload)
     print("s-implications (contrapositive symmetry):")
     for impl_name in sorted(S_IMPLICATIONS):

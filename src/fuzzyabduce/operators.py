@@ -280,6 +280,11 @@ def _worst_case(violation: np.ndarray, grids: tuple, lhs: np.ndarray, rhs: np.nd
     return Counterexample(args, float(lhs_b[idx]), float(rhs_b[idx]), worst_val)
 
 
+#: the most cells a property grid may hold: the three-argument laws scan
+#: levels**3 of them (the same budget as the oracle's candidate limit)
+MAX_GRID_CELLS = 10_000_000
+
+
 def property_suite(tnorm_kind: Optional[str], implication_kind: str,
                    grid_levels: int = 21, tol: float = TOL) -> PropertyReport:
     """Scan an implication for its expected algebraic laws on a quantized grid.
@@ -292,6 +297,9 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
     """
     if grid_levels < 2:
         raise ValueError(f"property suite needs at least 2 grid levels, got {grid_levels}")
+    if grid_levels ** 3 > MAX_GRID_CELLS:
+        raise ValueError(f"property suite grid of {grid_levels} levels exceeds the limit "
+                         f"of {MAX_GRID_CELLS} cells for its three-argument laws")
     impl_name = canonical_name(implication_kind)
     impl = implication_fn(impl_name)
     g = np.linspace(0.0, 1.0, grid_levels)

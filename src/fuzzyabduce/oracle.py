@@ -14,7 +14,6 @@ blocks, so memory stays bounded however many candidates there are.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ import numpy as np
 from .core import TOL, FuzzySet
 from .inference import Relation, check_universe
 from .operators import tnorm_fn
-
-log = logging.getLogger(__name__)
 
 _MAX_CANDIDATES = 10_000_000
 #: rows of |V| degrees that one expansion step may hold (at least one level's worth)
@@ -57,8 +54,8 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
                         search: QuantizedSearch = QuantizedSearch()) -> list[FuzzySet]:
     """All quantized antecedents whose forward image matches the observation.
 
-    The observation is snapped to the quantization grid first (the shift is
-    logged when non-zero); matching is within the standard tolerance.
+    The observation is snapped to the quantization grid first (snap_to_levels
+    returns the shift); matching is within the standard tolerance.
     Candidates come back in lexicographic order of their degree vectors.
 
     The scan tabulates T(level, R(u, v)) once for every grid point u, level
@@ -82,12 +79,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
         raise ValueError(
             f"search space of {total} candidates exceeds the limit of {_MAX_CANDIDATES}"
         )
-    target, snap_distance = snap_to_levels(b_prime.mu, search.levels)
-    if snap_distance > TOL:
-        log.debug(
-            "observation snapped to %d-level grid; largest shift %.6g",
-            search.levels, snap_distance,
-        )
+    target, _ = snap_to_levels(b_prime.mu, search.levels)
     grid = np.linspace(0.0, 1.0, search.levels)
     table = tnorm_fn(tnorm)(grid[None, :, None], relation.degrees[:, None, :])
     # start from the empty prefix, code 0, whose image is 0 everywhere

@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -295,28 +295,30 @@ def save_problem(problem: Problem, path: str) -> str:
 
 # --- scenarios ---------------------------------------------------------------
 
+# report_as_dict writes each result's fields in declaration order, so the order
+# below is the order of keys in --out files
 @dataclass
 class ScenarioEntry:
     rule: str
-    result: Optional[AbductionResult]
     compatibility: Optional[float] = None
     flagged: Optional[bool] = None
+    result: Optional[AbductionResult] = None
 
 
 @dataclass
 class CombinedHypothesis:
+    label: str
     universe: str
     rules: tuple
     hypothesis: FuzzySet
-    label: str = AGGREGATION_LABEL
 
 
 @dataclass
 class ScenarioReport:
     kind: str
     observation: str
+    match_threshold: Optional[float]
     entries: list
-    threshold: Optional[float] = None
     aggregates: list = field(default_factory=list)
 
 
@@ -332,6 +334,8 @@ def _scenario_inputs(problem: Problem, config: ScenarioConfig,
     to conclude on the observation's universe."""
     if config.kind != kind:
         raise ProblemError(f"{kind} scenario got config kind {config.kind!r}")
+    if not config.rules:
+        raise ProblemError("scenario: needs at least one rule")
     semantics, analysis = _ANALYSIS[kind]
     observed = problem.resolve_set(config.observation)
     found = []
@@ -373,8 +377,8 @@ def run_fault_scenario(problem: Problem, config: ScenarioConfig) -> ScenarioRepo
     return ScenarioReport(
         kind=FAULT_COMPONENT,
         observation=config.observation,
+        match_threshold=config.match_threshold,
         entries=entries,
-        threshold=config.match_threshold,
     )
 
 
@@ -404,6 +408,7 @@ def run_causal_scenario(problem: Problem, config: ScenarioConfig) -> ScenarioRep
         combined = FuzzySet(group[0][1].universe, np.min(stacked, axis=0))
         aggregates.append(
             CombinedHypothesis(
+                label=AGGREGATION_LABEL,
                 universe=uname,
                 rules=tuple(name for name, _ in group),
                 hypothesis=combined,
@@ -412,6 +417,7 @@ def run_causal_scenario(problem: Problem, config: ScenarioConfig) -> ScenarioRep
     return ScenarioReport(
         kind=CAUSAL_DIAGNOSIS,
         observation=config.observation,
+        match_threshold=None,
         entries=entries,
         aggregates=aggregates,
     )
@@ -445,7 +451,7 @@ def render_report(report: ScenarioReport) -> str:
     if report.kind == FAULT_COMPONENT:
         lines.append("fault-component scenario")
         lines.append(f"observation: {report.observation}")
-        lines.append(f"match threshold: {report.threshold:.6f}")
+        lines.append(f"match threshold: {report.match_threshold:.6f}")
         lines.append("rules ranked by match with the contrary conclusion:")
         for rank, entry in enumerate(report.entries, start=1):
             status = "FLAGGED" if entry.flagged else "not flagged"
@@ -473,61 +479,22 @@ def render_report(report: ScenarioReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fuzzyset_dict(s: FuzzySet) -> dict:
-    return {
-        "universe": s.universe.name,
-        "grid": [float(x) for x in s.universe.grid],
-        "mu": [float(x) for x in s.mu],
-    }
-
-
-def result_as_dict(result: AbductionResult) -> dict:
-    solv: dict = {"verdict": result.solvability.verdict}
-    if result.solvability.witness is not None:
-        w = result.solvability.witness
-        solv["witness"] = {
-            "point": w.point, "required": w.required, "available": w.available,
-        }
-    rt = result.roundtrip
-    return {
-        "scheme": result.scheme,
-        "hypothesis": _fuzzyset_dict(result.hypothesis),
-        "solvability": solv,
-        "roundtrip": {
-            "reproduced": _fuzzyset_dict(rt.reproduced),
-            "max_abs_residual": rt.max_abs_residual,
-            "covers_observation": rt.covers_observation,
-            "within_observation": rt.within_observation,
-        },
-    }
-
-
-def report_as_dict(report: ScenarioReport) -> dict:
-    out: dict = {"kind": report.kind, "observation": report.observation}
-    if report.threshold is not None:
-        out["match_threshold"] = report.threshold
-    entries = []
-    for entry in report.entries:
-        e: dict = {"rule": entry.rule}
-        if entry.compatibility is not None:
-            e["compatibility"] = entry.compatibility
-        if entry.flagged is not None:
-            e["flagged"] = entry.flagged
-        if entry.result is not None:
-            e["result"] = result_as_dict(entry.result)
-        entries.append(e)
-    out["entries"] = entries
-    if report.aggregates:
-        out["aggregates"] = [
-            {
-                "label": agg.label,
-                "universe": agg.universe,
-                "rules": list(agg.rules),
-                "hypothesis": _fuzzyset_dict(agg.hypothesis),
-            }
-            for agg in report.aggregates
-        ]
-    return out
+def report_as_dict(value):
+    """The JSON form of a result the CLI writes. A FuzzySet becomes its
+    universe name, grid and degrees; a dataclass its fields in declaration
+    order, leaving out those that are None or an empty list; a tuple or list
+    a list; anything else passes through unchanged."""
+    if isinstance(value, FuzzySet):
+        return {"universe": value.universe.name,
+                "grid": [float(x) for x in value.universe.grid],
+                "mu": [float(x) for x in value.mu]}
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: report_as_dict(v) for name, v in items
+                if v is not None and not (isinstance(v, list) and not v)}
+    if isinstance(value, (tuple, list)):
+        return [report_as_dict(v) for v in value]
+    return value
 
 
 def emit_plot_data(named_sets, path: str) -> str:

@@ -1,9 +1,13 @@
 """Command-line behaviour: subcommands, output, exit codes."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fuzzyabduce
 from conftest import bundled_problem
 from fuzzyabduce.cli import main
 
@@ -290,6 +294,15 @@ MALFORMED = {
 }
 
 
+def test_scenario_rule_on_another_universe_exits_1(capsys, tmp_path):
+    path = write_mutated(tmp_path, "circuit_fault.json",
+                         lambda d: d["observations"].update(observed_output="psu_nominal"))
+    code, out, err = run(capsys, "scenario", "--problem", path)
+    assert code == 1 and out == ""
+    assert err == ("error: scenario: rule 'psu_ok' concludes on 'output_voltage' "
+                   "but the observation lives on 'psu_health'\n")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_problem_exits_1_naming_the_entry(capsys, tmp_path, case):
     name, mutate, entry = MALFORMED[case]
@@ -348,9 +361,18 @@ def test_enumerate_rejects_levels_too_large_for_a_float(capsys, tmp_path, source
 
 
 def test_check_ops_rejects_levels_below_2(capsys):
-    code, _, err = run(capsys, "check-ops", "--levels", "1")
-    assert code == 1
+    code, out, err = run(capsys, "check-ops", "--levels", "1")
+    assert code == 1 and out == ""
     assert err.startswith("error:") and "at least 2 grid levels" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_check_ops_rejects_a_grid_over_the_cell_limit(capsys):
+    # 216**3 cells is just over 10**7; 215 levels is the largest grid allowed
+    code, out, err = run(capsys, "check-ops", "--levels", "216")
+    assert code == 1 and out == ""
+    assert err == ("error: property suite grid of 216 levels exceeds the limit of "
+                   "10000000 cells for its three-argument laws\n")
 
 
 def test_task_levels_below_2_exits_1(capsys, tmp_path):
@@ -358,3 +380,13 @@ def test_task_levels_below_2_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "enumerate", "--problem", path)
     assert code == 1
     assert err.startswith("error: task.levels")
+
+
+def test_cli_import_leaves_logging_out():
+    """A fresh interpreter importing the CLI loads no logging module, which
+    would add to the start-up time of every command."""
+    src = str(Path(fuzzyabduce.__file__).parents[1])
+    probe = "import sys, fuzzyabduce.cli; print('logging' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout == "False\n"

@@ -304,6 +304,29 @@ def test_unsolvable_rule_entry_carries_its_witness(tmp_path):
     assert "required 0.900000, available 0.300000" in render_report(report)
 
 
+def test_scenario_rejects_a_config_of_the_other_kind(circuit_path):
+    problem = load_problem(circuit_path)
+    with pytest.raises(ProblemError, match="causal_diagnosis scenario got config kind "
+                                           "'fault_component'"):
+        run_causal_scenario(problem, problem.task.scenario)
+
+
+def test_scenario_rejects_an_unknown_rule(circuit_path):
+    problem = load_problem(circuit_path)
+    config = ScenarioConfig(FAULT_COMPONENT, ("psu_ok", "fan_ok"), "observed_output")
+    with pytest.raises(ProblemError, match="scenario: unknown rule 'fan_ok'"):
+        run_fault_scenario(problem, config)
+
+
+@pytest.mark.parametrize("kind, runner", [(FAULT_COMPONENT, run_fault_scenario),
+                                          (CAUSAL_DIAGNOSIS, run_causal_scenario)])
+def test_scenario_rejects_an_empty_rule_list(circuit_path, kind, runner):
+    # load_problem rejects such a file; a config built in code must fail the same way
+    problem = load_problem(circuit_path)
+    with pytest.raises(ProblemError, match="scenario: needs at least one rule"):
+        runner(problem, ScenarioConfig(kind, (), "observed_output"))
+
+
 def test_causal_scenario_rejects_certainty_rules(circuit_path):
     problem = load_problem(circuit_path)
     config = ScenarioConfig(CAUSAL_DIAGNOSIS, ("psu_ok",), "observed_output")
