@@ -106,7 +106,9 @@ def _membership(universe: Universe, values, ndim: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(mu)):
         raise ValueError(f"membership degrees on {universe.name!r} must be finite")
-    return _frozen(clamp01(mu))
+    mu = clamp01(mu)
+    mu += 0.0  # -0.0 + 0.0 is +0.0, so no degree keeps the sign of a negative zero
+    return _frozen(mu)
 
 
 class Shape:

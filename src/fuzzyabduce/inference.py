@@ -126,11 +126,12 @@ class Relation:
         m.setflags(write=False)
         object.__setattr__(self, "table", m)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Degrees of rows lo to hi - 1."""
+    def rows(self, index, cols=slice(None)) -> np.ndarray:
+        """Degrees of the rows at index, a slice or an index array, in the
+        columns at cols."""
         if self.table is not None:
-            return self.table[lo:hi]
-        rows = implication_fn(self.implication)(self.a[lo:hi, None], self.b[None, :])
+            return self.table[index][:, cols]
+        rows = implication_fn(self.implication)(self.a[index, None], self.b[None, cols])
         return np.clip(rows, 0.0, 1.0, out=rows)  # a fresh array, clamped in place
 
     @cached_property
@@ -138,15 +139,17 @@ class Relation:
         """The whole |U|x|V| table; a rule relation tabulates it on first read."""
         if self.table is not None:
             return self.table
-        table = self.rows(0, len(self.u_universe))
+        table = self.rows(slice(None))
         table.setflags(write=False)
         return table
 
-    def blocks(self):
+    def blocks(self, rows=None, cols=None):
         """Yield (lo, rows lo onwards) over blocks of about BLOCK_CELLS degrees.
 
-        A rule relation larger than MAX_FOLD_CELLS raises ValueError before
-        any row is computed.
+        Index arrays rows and cols restrict the blocks to those rows and
+        columns; lo then counts kept rows. A rule relation larger than
+        MAX_FOLD_CELLS raises ValueError before any row is computed, however
+        few rows and columns are kept.
         """
         n, m = len(self.u_universe), len(self.v_universe)
         if self.table is None and n * m > MAX_FOLD_CELLS:
@@ -156,9 +159,11 @@ class Relation:
                 f"limit of {MAX_FOLD_CELLS} for an operation without a closed form; "
                 f"use coarser grids"
             )
-        step = max(1, BLOCK_CELLS // m)
-        for lo in range(0, n, step):
-            yield lo, self.rows(lo, lo + step)
+        step = max(1, BLOCK_CELLS // (m if cols is None else len(cols)))
+        cols = slice(None) if cols is None else cols
+        for lo in range(0, n if rows is None else len(rows), step):
+            index = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+            yield lo, self.rows(index, cols)
 
 
 def build_relation(rule: Rule) -> Relation:
@@ -180,8 +185,10 @@ def gmp(relation: Relation, a_prime: FuzzySet, tnorm: str) -> FuzzySet:
     The output degree at v is the max over u of T(a_prime(u), relation(u, v)).
     A rule relation with goedel under minimum, or with kleene_dienes under
     any t-norm, takes a closed form; every other relation is folded block by
-    block. Each path selects and combines the same degrees as the full table
-    would, and max is exact in any order, so all give identical images.
+    block, over its undominated rows only when its implication is in
+    operators.ANTITONE. Each path selects and combines the same degrees as
+    the full table would, and max is exact in any order, so all give
+    identical images.
     """
     check_universe(a_prime, relation.u_universe, "input", "from")
     kind = canonical_name(tnorm)
@@ -194,11 +201,31 @@ def gmp(relation: Relation, a_prime: FuzzySet, tnorm: str) -> FuzzySet:
         # and max over u of T(p(u), b(v)) is T(max p, b(v))
         image = np.maximum(np.max(t(p, 1.0 - relation.a)), t(np.max(p), relation.b))
     else:
+        keep = None
+        if relation.implication in ANTITONE:
+            # row u' dominates row u when a(u') <= a(u) and p(u') >= p(u): as
+            # computed, I never rises in a and T never falls in either argument,
+            # so a dominated row never exceeds its dominator's and max is exact
+            keep = _undominated(relation.a, p)
+            p = p[keep]
         image = None
-        for lo, rows in relation.blocks():
+        for lo, rows in relation.blocks(rows=keep):
             part = np.max(t(p[lo:lo + len(rows), None], rows), axis=0)
             image = part if image is None else np.maximum(image, part, out=image)
     return FuzzySet(relation.v_universe, image)
+
+
+def _undominated(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Indices of the points that no other point dominates.
+
+    j dominates i when low[j] <= low[i] and high[j] >= high[i]; of equal
+    (low, high) pairs only the first is kept. Sorted by low, then by high
+    falling, a point is kept when its high exceeds every high before it.
+    """
+    order = np.lexsort((-high, low))
+    h = high[order]
+    kept = h > np.concatenate(([-np.inf], np.maximum.accumulate(h)[:-1]))
+    return order[kept]
 
 
 def _goedel_minimum_image(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -226,7 +253,7 @@ def column_sup(relation: Relation) -> np.ndarray:
     """
     if relation.implication in ANTITONE:
         i = int(np.argmin(relation.a))
-        return relation.rows(i, i + 1)[0]
+        return relation.rows([i])[0]
     return gmp(relation, FuzzySet(relation.u_universe, np.ones(len(relation.u_universe))),
                "minimum").mu
 
@@ -236,7 +263,9 @@ def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzyS
 
     Every solution of gmp(relation, x, tnorm) = observed lies at or below it, and
     for a left-continuous T it is the greatest solution whenever one exists
-    (Sanchez 1976). A goedel rule relation under minimum takes a closed form.
+    (Sanchez 1976). A goedel rule relation under minimum takes a closed form;
+    other relations are folded, over the undominated columns only when the
+    implication is in operators.ANTITONE.
     """
     check_universe(observed, relation.v_universe, "observation", "into")
     tnorm_fn(tnorm)  # raises on an unknown t-norm
@@ -245,8 +274,15 @@ def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzyS
         bound = _goedel_bound(relation.a, relation.b, observed.mu)
     else:
         impl = implication_fn(residuum)
-        o = observed.mu[None, :]
-        bound = np.concatenate([np.min(impl(rows, o), axis=1) for _, rows in relation.blocks()])
+        o, keep = observed.mu, None
+        if relation.implication in ANTITONE:
+            # column v' dominates column v when b(v') >= b(v) and o(v') <= o(v):
+            # R never falls in b and I_T never rises in R nor falls in o, so a
+            # dominated column's term is never below its dominator's
+            keep = _undominated(-relation.b, -o)
+            o = o[keep]
+        bound = np.concatenate([np.min(impl(rows, o[None, :]), axis=1)
+                                for _, rows in relation.blocks(cols=keep)])
     return FuzzySet(relation.u_universe, clamp01(bound))
 
 

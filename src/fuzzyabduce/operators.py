@@ -154,9 +154,11 @@ R_IMPLICATIONS: dict[str, Callable] = {
 CONTRAPOSITIVE_S = frozenset({"reichenbach", "kleene_dienes", "lukasiewicz"})
 
 #: implications whose closed forms, as computed, never rise as the antecedent
-#: grows: each is built from operations that round monotonically. reichenbach's
-#: 1 - a + a*b is antitone only in exact arithmetic, as a sum of a falling and
-#: a rising rounded term, so it is left out.
+#: grows and never fall as the consequent grows: each is built from operations
+#: that round monotonically. inference relies on both directions: column_sup
+#: reads one row, and gmp and residual_bound fold only undominated rows and
+#: columns. reichenbach's 1 - a + a*b is antitone only in exact arithmetic, as
+#: a sum of a falling and a rising rounded term, so it is left out.
 ANTITONE = frozenset({"goedel", "goguen", "kleene_dienes", "lukasiewicz"})
 
 RESIDUUM_FOR_TNORM = {

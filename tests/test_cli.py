@@ -303,6 +303,20 @@ def test_scenario_rule_on_another_universe_exits_1(capsys, tmp_path):
                    "but the observation lives on 'psu_health'\n")
 
 
+def test_negative_zero_samples_print_as_zero(capsys, tmp_path):
+    def observe_negative_zeros(d):
+        d["sets"]["zeros"] = {"universe": "temperature", "shape": "samples",
+                              "params": [-0.0, -0.0, 0.0, 0.5, 1.0]}
+        d["observations"]["reading"] = "zeros"
+
+    path = write_mutated(tmp_path, "temperature.json", observe_negative_zeros)
+    assert "-0.0" in Path(path).read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "abduce", "--problem", path, "--bound")
+    assert code == 0
+    assert "observation on temperature: 0.000000, 0.000000, 0.000000, 0.500000, 1.000000\n" in out
+    assert "-0.0" not in out
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_problem_exits_1_naming_the_entry(capsys, tmp_path, case):
     name, mutate, entry = MALFORMED[case]

@@ -108,6 +108,16 @@ def test_rows_match_one_set_per_row():
     assert np.array_equal(matrix[0], [-0.5, 0.25, 1.5])  # the input is not modified
 
 
+def test_negative_zero_degrees_are_stored_as_positive_zero():
+    u = make_universe("u", 0, 1, 5)
+    degrees = [-0.0, -0.0, 0.0, 0.5, 1.0]
+    mu = FuzzySet(u, degrees).mu
+    assert not np.any(np.signbit(mu))
+    # tobytes tells -0.0 from 0.0, where == does not
+    assert mu.tobytes() == np.array([0.0, 0.0, 0.0, 0.5, 1.0]).tobytes()
+    assert [s.mu.tobytes() for s in FuzzySet.rows(u, [degrees, degrees])] == [mu.tobytes()] * 2
+
+
 def test_rows_reject_what_the_constructor_rejects():
     u = make_universe("u", 0, 1, 3)
     for bad in (np.zeros((2, 2)), np.array([[0.1, float("inf"), 0.2]])):

@@ -25,6 +25,7 @@ from fuzzyabduce.inference import (
     Relation,
     Rule,
     _goedel_bound,
+    _undominated,
     build_relation,
     column_sup,
     gmp,
@@ -127,16 +128,86 @@ def test_column_supremum_equals_the_full_table(drawn, impl):
 
 
 def test_antitone_implications_never_rise_with_the_antecedent():
+    # the column supremum and the dominance pruning of gmp and residual_bound
+    # rely on both directions: never rising in the antecedent, never falling
+    # in the consequent
     rng = np.random.default_rng(7)
     a, b = rng.random(200_000), rng.random(200_000)
-    above = np.nextafter(a, 2.0)
+    above, b_above = np.nextafter(a, 2.0), np.nextafter(b, 2.0)
     for impl in sorted(ANTITONE):
         fn = implication_fn(impl)
         assert np.all(fn(above, b) <= fn(a, b)), impl
+        assert np.all(fn(a, b_above) >= fn(a, b)), impl
     # reichenbach's 1 - a + a*b rises by rounding for one a in about twenty,
     # so its column supremum is not the row of the least antecedent degree
     fn = implication_fn("reichenbach")
     assert "reichenbach" not in ANTITONE and np.any(fn(above, b) > fn(a, b))
+
+
+def test_tnorms_and_residua_are_monotone_as_the_pruning_needs():
+    # gmp drops a row another dominates because each t-norm never falls in
+    # either argument; residual_bound drops a column because each residuum
+    # never rises in its first argument and never falls in its second
+    rng = np.random.default_rng(8)
+    x, y = rng.random(200_000), rng.random(200_000)
+    x_above, y_above = np.nextafter(x, 2.0), np.nextafter(y, 2.0)
+    for name, t in sorted(TNORMS.items()):
+        assert np.all(t(x_above, y) >= t(x, y)), name
+        assert np.all(t(x, y_above) >= t(x, y)), name
+    for name in sorted(set(RESIDUUM_FOR_TNORM.values())):
+        fn = implication_fn(name)
+        assert np.all(fn(x_above, y) <= fn(x, y)), name
+        assert np.all(fn(x, y_above) >= fn(x, y)), name
+
+
+def undominated_by_definition(low, high):
+    """Indices i with no j != i such that low[j] <= low[i] and high[j] >= high[i],
+    unless (low[j], high[j]) equals (low[i], high[i]) and j comes after i."""
+    n = len(low)
+    return [i for i in range(n)
+            if not any(j != i and low[j] <= low[i] and high[j] >= high[i]
+                       and ((low[j], high[j]) != (low[i], high[i]) or j < i)
+                       for j in range(n))]
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(*(
+    st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0),
+             min_size=n, max_size=n) for _ in range(2)))))
+@settings(max_examples=300, deadline=None)
+def test_undominated_matches_its_definition(drawn):
+    low, high = drawn
+    assert sorted(_undominated(np.array(low), np.array(high))) == \
+        undominated_by_definition(low, high)
+
+
+POINTS = np.linspace(0.0, 1.0, 301)
+#: antecedent and consequent rounded to hundredths, so degrees tie and both
+#: ends (0 and 1) occur
+A_TIED = np.round(np.exp(-(((POINTS - 0.4) / 0.2) ** 2)), 2)
+B_TIED = np.round(np.interp(POINTS, [0.2, 0.6, 0.9], [0.0, 1.0, 0.0]), 2)
+
+
+@pytest.mark.parametrize("case", ["rising", "constant"])
+@pytest.mark.parametrize("impl", sorted(ANTITONE))
+@pytest.mark.parametrize("tnorm", sorted(TNORMS))
+def test_pruned_folds_equal_the_full_table_at_the_extremes(case, impl, tnorm):
+    # "rising": the input rises with the antecedent degree, and the
+    # observation with the consequent degree, so only repeated rows and
+    # columns are dominated; "constant": one row and one column dominate all
+    u, v = Universe("u", POINTS), Universe("v", POINTS)
+    p = A_TIED if case == "rising" else np.full(len(POINTS), 0.7)
+    o = B_TIED if case == "rising" else np.full(len(POINTS), 0.7)
+    rows, cols = _undominated(A_TIED, p), _undominated(-B_TIED, -o)
+    if case == "rising":
+        assert len(rows) == len(np.unique(A_TIED)) and len(cols) == len(np.unique(B_TIED))
+    else:
+        assert len(rows) == len(cols) == 1
+    relation = Relation(u, v, a=A_TIED, b=B_TIED, implication=impl)
+    table = dense(A_TIED, B_TIED, impl)
+    image = gmp(relation, FuzzySet(u, p), tnorm).mu
+    bound = residual_bound(relation, FuzzySet(v, o), tnorm).mu
+    assert image.tobytes() == dense_image(table, p, tnorm).tobytes()
+    assert bound.tobytes() == dense_bound(table, o, RESIDUUM_FOR_TNORM[tnorm]).tobytes()
 
 
 @given(any_vectors)
@@ -280,6 +351,34 @@ def test_wide_relations_fold_one_row_at_a_time():
     observed = FuzzySet(v, rng.random(m))
     assert peak_mb(lambda: check_solvability(build_relation(rule), observed)) < 8
     assert peak_mb(lambda: abduce_certainty(rule, observed, "product")) < 8
+
+
+def test_folds_compute_only_the_undominated_rows_and_columns(monkeypatch):
+    cells = []
+    rows = Relation.rows
+
+    def counted(self, index, cols=slice(None)):
+        computed = rows(self, index, cols)
+        cells.append(computed.size)
+        return computed
+
+    monkeypatch.setattr(Relation, "rows", counted)
+    u, v = Universe("u", GRID), Universe("v", GRID)
+    a, b = FuzzySet(u, bump(0.4, 0.2)), FuzzySet(v, bump(0.6, 0.2))
+    # an all-ones input: the row of the least antecedent degree dominates
+    gmp(build_relation(Rule(a, b, "variation", "goguen", "product")),
+        FuzzySet(u, np.ones(len(GRID))), "product")
+    assert sum(cells) == len(GRID)
+    # a constant observation: the column of the greatest consequent degree dominates
+    cells.clear()
+    residual_bound(build_relation(Rule(a, b, "variation", "lukasiewicz", "lukasiewicz")),
+                   FuzzySet(v, np.full(len(GRID), 0.5)), "lukasiewicz")
+    assert sum(cells) == len(GRID)
+    # reichenbach is not in ANTITONE and keeps the full fold
+    cells.clear()
+    gmp(build_relation(Rule(a, b, "certainty", "reichenbach", "product")),
+        FuzzySet(u, np.ones(len(GRID))), "product")
+    assert sum(cells) == len(GRID) ** 2
 
 
 def test_fold_over_the_cell_limit_fails_at_once_naming_both_universes():
