@@ -126,12 +126,11 @@ class Relation:
         m.setflags(write=False)
         object.__setattr__(self, "table", m)
 
-    def rows(self, index, cols=slice(None)) -> np.ndarray:
-        """Degrees of the rows at index, a slice or an index array, in the
-        columns at cols."""
+    def rows(self, index) -> np.ndarray:
+        """Degrees of the rows at index, a slice or an index array."""
         if self.table is not None:
-            return self.table[index][:, cols]
-        rows = implication_fn(self.implication)(self.a[index, None], self.b[None, cols])
+            return self.table[index]
+        rows = implication_fn(self.implication)(self.a[index, None], self.b[None, :])
         return np.clip(rows, 0.0, 1.0, out=rows)  # a fresh array, clamped in place
 
     @cached_property
@@ -143,13 +142,12 @@ class Relation:
         table.setflags(write=False)
         return table
 
-    def blocks(self, rows=None, cols=None):
+    def blocks(self, rows=None):
         """Yield (lo, rows lo onwards) over blocks of about BLOCK_CELLS degrees.
 
-        Index arrays rows and cols restrict the blocks to those rows and
-        columns; lo then counts kept rows. A rule relation larger than
-        MAX_FOLD_CELLS raises ValueError before any row is computed, however
-        few rows and columns are kept.
+        An index array rows restricts the blocks to those rows; lo then
+        counts kept rows. A rule relation larger than MAX_FOLD_CELLS raises
+        ValueError before any row is computed, however few rows are kept.
         """
         n, m = len(self.u_universe), len(self.v_universe)
         if self.table is None and n * m > MAX_FOLD_CELLS:
@@ -159,11 +157,10 @@ class Relation:
                 f"limit of {MAX_FOLD_CELLS} for an operation without a closed form; "
                 f"use coarser grids"
             )
-        step = max(1, BLOCK_CELLS // (m if cols is None else len(cols)))
-        cols = slice(None) if cols is None else cols
+        step = max(1, BLOCK_CELLS // m)
         for lo in range(0, n if rows is None else len(rows), step):
             index = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
-            yield lo, self.rows(index, cols)
+            yield lo, self.rows(index)
 
 
 def build_relation(rule: Rule) -> Relation:
@@ -263,9 +260,7 @@ def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzyS
 
     Every solution of gmp(relation, x, tnorm) = observed lies at or below it, and
     for a left-continuous T it is the greatest solution whenever one exists
-    (Sanchez 1976). A goedel rule relation under minimum takes a closed form;
-    other relations are folded, over the undominated columns only when the
-    implication is in operators.ANTITONE.
+    (Sanchez 1976). A goedel rule relation under minimum takes a closed form.
     """
     check_universe(observed, relation.v_universe, "observation", "into")
     tnorm_fn(tnorm)  # raises on an unknown t-norm
@@ -274,15 +269,8 @@ def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzyS
         bound = _goedel_bound(relation.a, relation.b, observed.mu)
     else:
         impl = implication_fn(residuum)
-        o, keep = observed.mu, None
-        if relation.implication in ANTITONE:
-            # column v' dominates column v when b(v') >= b(v) and o(v') <= o(v):
-            # R never falls in b and I_T never rises in R nor falls in o, so a
-            # dominated column's term is never below its dominator's
-            keep = _undominated(-relation.b, -o)
-            o = o[keep]
-        bound = np.concatenate([np.min(impl(rows, o[None, :]), axis=1)
-                                for _, rows in relation.blocks(cols=keep)])
+        o = observed.mu[None, :]
+        bound = np.concatenate([np.min(impl(rows, o), axis=1) for _, rows in relation.blocks()])
     return FuzzySet(relation.u_universe, clamp01(bound))
 
 

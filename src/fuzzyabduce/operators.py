@@ -129,9 +129,11 @@ def _r_goedel(a, b):
 def _r_goguen(a, b):
     a = np.asarray(a, float)
     b = np.asarray(b, float)
+    # one array, written in place: 1 where a is 0, else min(b / a, 1)
+    out = np.ones(np.broadcast_shapes(a.shape, b.shape))
     with np.errstate(over="ignore"):  # b/a may overflow for subnormal a; min(.., 1) absorbs it
-        ratio = b / np.where(a > 0.0, a, 1.0)
-    return np.where(a > 0.0, np.minimum(ratio, 1.0), 1.0)
+        np.divide(b, a, out=out, where=a > 0.0)
+    return np.minimum(out, 1.0, out=out)
 
 
 #: material implications built as disjunction of negated antecedent
@@ -155,10 +157,10 @@ CONTRAPOSITIVE_S = frozenset({"reichenbach", "kleene_dienes", "lukasiewicz"})
 
 #: implications whose closed forms, as computed, never rise as the antecedent
 #: grows and never fall as the consequent grows: each is built from operations
-#: that round monotonically. inference relies on both directions: column_sup
-#: reads one row, and gmp and residual_bound fold only undominated rows and
-#: columns. reichenbach's 1 - a + a*b is antitone only in exact arithmetic, as
-#: a sum of a falling and a rising rounded term, so it is left out.
+#: that round monotonically. inference relies on the first: column_sup reads
+#: one row, and gmp folds only undominated rows. reichenbach's 1 - a + a*b is
+#: antitone only in exact arithmetic, as a sum of a falling and a rising
+#: rounded term, so it is left out.
 ANTITONE = frozenset({"goedel", "goguen", "kleene_dienes", "lukasiewicz"})
 
 RESIDUUM_FOR_TNORM = {
