@@ -27,14 +27,12 @@ from .core import (
 )
 from .operators import (
     CONTRAPOSITIVE_S,
-    DUAL_TCONORM,
     RESIDUUM_FOR_TNORM,
     TNORM_FOR_RESIDUUM,
     PropertyReport,
     implication,
     property_suite,
     residuum_oracle,
-    tconorm,
     tnorm,
 )
 from .inference import CERTAINTY, VARIATION, Relation, Rule, build_relation, gmp

@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fuzzyabduce", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("infer", parents=[], help="forward inference through one rule")
+    p = subs.add_parser("infer", help="forward inference through one rule")
     _add_common(p)
     p.add_argument("--rule", default=None, help="rule name (defaults to task.rule)")
     p.add_argument("--input", default=None, help="input set name (defaults to task.input)")

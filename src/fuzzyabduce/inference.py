@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -91,53 +90,38 @@ MAX_FOLD_CELLS = 100_000_000
 
 @dataclass(frozen=True, eq=False)
 class Relation:
-    """A fuzzy relation between two grids: degree (i, j) relates u_i to v_j.
+    """A rule's fuzzy relation between two grids: degree (i, j) relates u_i to v_j.
 
-    Relation(u, v, table) holds a checked table. A rule's relation (see
-    build_relation) holds only the degree vectors a on U and b on V and the
-    name of an implication I, and computes rows of clamp01(I(a(u), b(v))) on
-    demand; `degrees` tabulates it in full only when read.
+    It holds only the degree vectors a on U and b on V and the name of an
+    implication I, and computes rows of clamp01(I(a(u), b(v))) on demand;
+    `degrees` tabulates it in full only when read.
     """
 
     u_universe: Universe
     v_universe: Universe
-    table: Optional[np.ndarray] = None
-    a: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
-    implication: Optional[str] = None
+    a: np.ndarray
+    b: np.ndarray
+    implication: str
 
     def __post_init__(self):
-        shape = (len(self.u_universe), len(self.v_universe))
-        if self.table is None:
-            implication_fn(self.implication)  # raises on an unknown implication
-            object.__setattr__(self, "implication", canonical_name(self.implication))
-            for side, n in (("a", shape[0]), ("b", shape[1])):
-                v = np.asarray(getattr(self, side), dtype=float)
-                if v.shape != (n,):
-                    raise ValueError(f"rule relation needs {side} of shape {(n,)}, got {v.shape}")
-                object.__setattr__(self, side, v)
-            return
-        m = np.asarray(self.table, dtype=float)
-        if m.shape != shape:
-            raise ValueError(f"relation matrix must have shape {shape}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("relation degrees must be finite")
-        m = clamp01(m)  # a fresh array
-        m.setflags(write=False)
-        object.__setattr__(self, "table", m)
+        implication_fn(self.implication)  # raises on an unknown implication
+        object.__setattr__(self, "implication", canonical_name(self.implication))
+        for side, n in (("a", len(self.u_universe)), ("b", len(self.v_universe))):
+            v = np.asarray(getattr(self, side), dtype=float)
+            if v.shape != (n,):
+                raise ValueError(f"rule relation needs {side} of shape {(n,)}, got {v.shape}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"rule relation degrees {side} must be finite")
+            object.__setattr__(self, side, v)
 
     def rows(self, index) -> np.ndarray:
         """Degrees of the rows at index, a slice or an index array."""
-        if self.table is not None:
-            return self.table[index]
         rows = implication_fn(self.implication)(self.a[index, None], self.b[None, :])
         return np.clip(rows, 0.0, 1.0, out=rows)  # a fresh array, clamped in place
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """The whole |U|x|V| table; a rule relation tabulates it on first read."""
-        if self.table is not None:
-            return self.table
+        """The whole |U|x|V| table, tabulated on first read."""
         table = self.rows(slice(None))
         table.setflags(write=False)
         return table
@@ -146,11 +130,11 @@ class Relation:
         """Yield (lo, rows lo onwards) over blocks of about BLOCK_CELLS degrees.
 
         An index array rows restricts the blocks to those rows; lo then
-        counts kept rows. A rule relation larger than MAX_FOLD_CELLS raises
+        counts kept rows. A relation larger than MAX_FOLD_CELLS raises
         ValueError before any row is computed, however few rows are kept.
         """
         n, m = len(self.u_universe), len(self.v_universe)
-        if self.table is None and n * m > MAX_FOLD_CELLS:
+        if n * m > MAX_FOLD_CELLS:
             raise ValueError(
                 f"the {self.implication} relation from {self.u_universe.name!r} ({n} points) "
                 f"to {self.v_universe.name!r} ({m} points) has {n * m} cells, over the "

@@ -1,4 +1,4 @@
-"""Fuzzy conjunction, disjunction, and implication operators.
+"""Fuzzy conjunction (t-norm) and implication operators.
 
 All operator formulas are written with numpy primitives so they apply
 elementwise to arrays as well as scalars; the public scalar entry points
@@ -20,7 +20,7 @@ def canonical_name(kind: str) -> str:
     return str(kind).strip().lower().replace("-", "_")
 
 
-# --- t-norms and t-conorms -------------------------------------------------
+# --- t-norms ----------------------------------------------------------------
 
 def _t_minimum(a, b):
     return np.minimum(a, b)
@@ -34,35 +34,10 @@ def _t_lukasiewicz(a, b):
     return np.maximum(0.0, np.add(a, b) - 1.0)
 
 
-def _c_maximum(a, b):
-    return np.maximum(a, b)
-
-
-def _c_probabilistic_sum(a, b):
-    return np.add(a, b) - np.multiply(a, b)
-
-
-def _c_bounded_sum(a, b):
-    return np.minimum(1.0, np.add(a, b))
-
-
 TNORMS: dict[str, Callable] = {
     "minimum": _t_minimum,
     "product": _t_product,
     "lukasiewicz": _t_lukasiewicz,
-}
-
-TCONORMS: dict[str, Callable] = {
-    "maximum": _c_maximum,
-    "probabilistic_sum": _c_probabilistic_sum,
-    "bounded_sum": _c_bounded_sum,
-}
-
-#: dual t-conorm of each t-norm under the standard negation
-DUAL_TCONORM = {
-    "minimum": "maximum",
-    "product": "probabilistic_sum",
-    "lukasiewicz": "bounded_sum",
 }
 
 
@@ -84,19 +59,9 @@ def tnorm_fn(kind: str) -> Callable:
     return _lookup(TNORMS, kind, "t-norm")
 
 
-def tconorm_fn(kind: str) -> Callable:
-    return _lookup(TCONORMS, kind, "t-conorm")
-
-
 def tnorm(kind: str, a: float, b: float) -> float:
     """Fuzzy conjunction of two degrees."""
     fn = tnorm_fn(kind)
-    return float(fn(_check_degree("a", a), _check_degree("b", b)))
-
-
-def tconorm(kind: str, a: float, b: float) -> float:
-    """Fuzzy disjunction of two degrees."""
-    fn = tconorm_fn(kind)
     return float(fn(_check_degree("a", a), _check_degree("b", b)))
 
 
@@ -171,29 +136,12 @@ RESIDUUM_FOR_TNORM = {
 
 TNORM_FOR_RESIDUUM = {impl: t for t, impl in RESIDUUM_FOR_TNORM.items()}
 
-
-def ql_implication_fn(tnorm_kind: str) -> Callable:
-    """Quantum-logic style implication C(1 - a, T(a, b)) from a dual pair."""
-    k = canonical_name(tnorm_kind)
-    t = tnorm_fn(k)
-    c = tconorm_fn(DUAL_TCONORM[k])
-
-    def ql(a, b):
-        return c(1.0 - np.asarray(a, float), t(a, b))
-
-    return ql
+#: every implication a rule can take: the s- and r-families together
+IMPLICATIONS: dict[str, Callable] = {**S_IMPLICATIONS, **R_IMPLICATIONS}
 
 
 def implication_fn(kind: str) -> Callable:
-    k = canonical_name(kind)
-    if k in S_IMPLICATIONS:
-        return S_IMPLICATIONS[k]
-    if k in R_IMPLICATIONS:
-        return R_IMPLICATIONS[k]
-    if k.startswith("ql_") and k[3:] in TNORMS:
-        return ql_implication_fn(k[3:])
-    known = sorted(set(S_IMPLICATIONS) | set(R_IMPLICATIONS) | {f"ql_{t}" for t in TNORMS})
-    raise ValueError(f"unknown implication {kind!r}; choose from {known}")
+    return _lookup(IMPLICATIONS, kind, "implication")
 
 
 def implication(kind: str, a: float, b: float) -> float:
@@ -365,11 +313,6 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
         lhs = impl(a2, b2)
         rhs = impl(1.0 - b2, 1.0 - a2)
         add("contrapositive_symmetry", np.abs(lhs - rhs), (g, g), lhs, rhs)
-
-    if not checks:
-        raise ValueError(
-            f"no property battery applies to implication {implication_kind!r}"
-        )
     return PropertyReport(
         canonical_name(tnorm_kind) if tnorm_kind else None, impl_name, grid_levels,
         tuple(checks),

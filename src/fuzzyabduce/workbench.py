@@ -498,13 +498,9 @@ def report_as_dict(value):
 
 
 def emit_plot_data(named_sets, path: str) -> str:
-    """Write overlay curves as CSV: header "x,<name>,...", one row per grid
-    point, degrees with 6 decimal places.
+    """Write overlay curves, a list of (name, set) pairs, as CSV: header
+    "x,<name>,...", one row per grid point, degrees with 6 decimal places.
     """
-    if hasattr(named_sets, "items"):
-        named_sets = list(named_sets.items())
-    else:
-        named_sets = list(named_sets)
     if not named_sets:
         raise ValueError("emit_plot_data needs at least one named set")
     universe = named_sets[0][1].universe

@@ -74,9 +74,11 @@ def test_relation_vacuous_antecedent_is_all_ones():
 
 def test_relation_shape_validation():
     with pytest.raises(ValueError, match="shape"):
-        Relation(U2, V2, np.zeros((3, 2)))
+        Relation(U2, V2, a=np.zeros(3), b=np.zeros(2), implication="goedel")
     with pytest.raises(ValueError, match="finite"):
-        Relation(U2, V2, np.full((2, 2), np.nan))
+        Relation(U2, V2, a=[np.nan, 0.5], b=[0.2, 0.4], implication="goguen")
+    with pytest.raises(ValueError, match="finite"):
+        Relation(U2, V2, a=[0.3, 0.5], b=[0.2, np.inf], implication="goguen")
 
 
 # --- forward inference -------------------------------------------------------
@@ -94,7 +96,8 @@ def test_gmp_of_empty_input_is_empty():
 
 
 def test_gmp_recovers_crisp_modus_ponens():
-    relation = Relation(U2, V2, np.array([[1.0, 0.0], [1.0, 1.0]]))
+    relation = Relation(U2, V2, a=[1.0, 0.0], b=[1.0, 0.0], implication="goedel")
+    assert np.array_equal(relation.degrees, [[1, 0], [1, 1]])
     image = gmp(relation, FuzzySet(U2, [1, 0]), "minimum")
     assert np.array_equal(image.mu, [1, 0])
 

@@ -1,16 +1,16 @@
-"""Operator algebra: t-norms, t-conorms, implication families, property suite."""
+"""Operator algebra: t-norms, implication families, property suite."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzyabduce
 from fuzzyabduce.operators import (
     CONTRAPOSITIVE_S,
-    DUAL_TCONORM,
+    IMPLICATIONS,
     R_IMPLICATIONS,
     RESIDUUM_FOR_TNORM,
     S_IMPLICATIONS,
-    TCONORMS,
     TNORM_FOR_RESIDUUM,
     TNORMS,
     canonical_name,
@@ -19,7 +19,6 @@ from fuzzyabduce.operators import (
     property_suite,
     residuum_gap,
     residuum_oracle,
-    tconorm,
     tnorm,
 )
 
@@ -38,18 +37,6 @@ def test_tnorm_values():
 def test_tnorm_unit_element(kind):
     for a in GRID:
         assert tnorm(kind, a, 1.0) == pytest.approx(a, abs=1e-15)
-
-
-def test_tconorm_values():
-    assert tconorm("maximum", 0.4, 0.7) == 0.7
-    assert tconorm("bounded_sum", 0.6, 0.7) == 1.0
-    assert tconorm("probabilistic_sum", 0.5, 0.5) == 0.75
-
-
-@pytest.mark.parametrize("kind", sorted(TCONORMS))
-def test_tconorm_unit_element(kind):
-    for a in GRID:
-        assert tconorm(kind, a, 0.0) == pytest.approx(a, abs=1e-15)
 
 
 def test_implication_values():
@@ -81,8 +68,6 @@ def test_hyphen_and_underscore_names_are_interchangeable():
 def test_unknown_names_rejected():
     with pytest.raises(ValueError, match="unknown t-norm"):
         tnorm("frank", 0.5, 0.5)
-    with pytest.raises(ValueError, match="unknown t-conorm"):
-        tconorm("einstein", 0.5, 0.5)
     with pytest.raises(ValueError, match="unknown implication"):
         implication("xor", 0.5, 0.5)
 
@@ -104,7 +89,6 @@ def test_family_predicates():
 
 
 def test_residuum_pairing_tables_invert_each_other():
-    assert DUAL_TCONORM.keys() == TNORMS.keys()
     assert RESIDUUM_FOR_TNORM == {"minimum": "goedel", "product": "goguen",
                                   "lukasiewicz": "lukasiewicz"}
     assert {TNORM_FOR_RESIDUUM[i]: i for i in TNORM_FOR_RESIDUUM} == RESIDUUM_FOR_TNORM
@@ -126,14 +110,6 @@ def test_tnorm_axioms_exhaustive(kind):
     assert np.max(grow) <= 0.0
 
 
-@pytest.mark.parametrize("kind", sorted(TNORMS))
-def test_tconorm_duality(kind):
-    t = TNORMS[kind]
-    c = TCONORMS[DUAL_TCONORM[kind]]
-    a, b = GRID[:, None], GRID[None, :]
-    assert np.max(np.abs(c(a, b) - (1.0 - t(1.0 - a, 1.0 - b)))) <= 1e-12
-
-
 def test_lukasiewicz_s_and_r_constructions_coincide():
     s = S_IMPLICATIONS["lukasiewicz"]
     r = R_IMPLICATIONS["lukasiewicz"]
@@ -141,18 +117,17 @@ def test_lukasiewicz_s_and_r_constructions_coincide():
     assert np.array_equal(s(a, b), r(a, b))
 
 
-def test_ql_of_minimum_is_zadeh():
-    ql = implication_fn("ql_minimum")
-    zadeh = implication_fn("zadeh")
-    a, b = GRID[:, None], GRID[None, :]
-    assert np.array_equal(ql(a, b), zadeh(a, b))
-
-
-def test_ql_implications_stay_in_unit_interval():
-    for t_kind in sorted(TNORMS):
-        fn = implication_fn(f"ql_{t_kind}")
-        values = fn(GRID[:, None], GRID[None, :])
-        assert np.all(values >= 0) and np.all(values <= 1 + 1e-15)
+def test_implications_are_exactly_the_two_rule_families():
+    # certainty rules take the s-family, variation rules the r-family; no
+    # other implication is defined, and the package exports no t-conorm
+    names = sorted(set(S_IMPLICATIONS) | set(R_IMPLICATIONS))
+    assert sorted(IMPLICATIONS) == names
+    for name in names:
+        assert implication_fn(name) is IMPLICATIONS[name]
+    with pytest.raises(ValueError, match="unknown implication") as excinfo:
+        implication("ql_minimum", 0.5, 0.5)
+    assert str(names) in str(excinfo.value)
+    assert not hasattr(fuzzyabduce, "tconorm") and not hasattr(fuzzyabduce, "DUAL_TCONORM")
 
 
 # --- residuum oracle ---------------------------------------------------------
@@ -244,8 +219,3 @@ def test_suite_rejects_mismatched_pairs():
 def test_suite_requires_tnorm_for_pure_residuated_implications():
     with pytest.raises(ValueError, match="generating t-norm"):
         property_suite(None, "goedel", 11)
-
-
-def test_suite_has_no_battery_for_ql_forms():
-    with pytest.raises(ValueError, match="no property battery"):
-        property_suite(None, "ql_minimum", 11)

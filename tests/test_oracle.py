@@ -1,6 +1,7 @@
 """Brute-force enumeration of exact antecedents on quantized small instances."""
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -82,6 +83,16 @@ def test_snap_of_empty_vector():
     assert snapped.size == 0 and shift == 0.0
 
 
+def all_ones(u, v):
+    """The goedel rule relation of an empty antecedent: every degree is 1."""
+    return Relation(u, v, a=np.zeros(len(u)), b=np.ones(len(v)), implication="goedel")
+
+
+def table_relation(u, v, table):
+    """Any table as a relation, with the three attributes the oracle reads."""
+    return SimpleNamespace(u_universe=u, v_universe=v, degrees=table)
+
+
 def test_search_bounds_are_enforced():
     with pytest.raises(ValueError, match="at least 2 levels"):
         QuantizedSearch(levels=1)
@@ -89,12 +100,12 @@ def test_search_bounds_are_enforced():
         QuantizedSearch(max_points=0)
 
     wide = make_universe("u", 0, 1, 6)
-    relation = Relation(wide, V2, np.ones((6, 2)))
+    relation = all_ones(wide, V2)
     with pytest.raises(ValueError, match="exceeds the limit"):
         enumerate_solutions(relation, FuzzySet(V2, [1, 1]), "minimum")
 
     four = make_universe("u", 0, 1, 4)
-    relation = Relation(four, V2, np.ones((4, 2)))
+    relation = all_ones(four, V2)
     big = QuantizedSearch(levels=101, max_points=5)  # 101**4 > 10^7
     with pytest.raises(ValueError, match="candidates"):
         enumerate_solutions(relation, FuzzySet(V2, [1, 1]), "minimum", big)
@@ -120,8 +131,6 @@ def test_greatest_of_single_solution_is_itself():
 def test_enumeration_agrees_with_a_naive_filter(data):
     """Cross-check the chunked vectorized scan against a plain python filter
     on very small instances."""
-    import itertools
-
     m = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 3))
     levels = data.draw(st.sampled_from([3, 5]))
@@ -132,17 +141,18 @@ def test_enumeration_agrees_with_a_naive_filter(data):
     bp = np.array(data.draw(st.lists(q, min_size=n, max_size=n)))
     u = Universe("u", np.arange(m, dtype=float))
     v = Universe("v", np.arange(n, dtype=float))
-    relation = Relation(u, v, r)
+    relation = table_relation(u, v, r)
     target = FuzzySet(v, bp)
 
     got = enumerate_solutions(relation, target, t_kind, QuantizedSearch(levels=levels))
     got_vectors = [tuple(s.mu) for s in got]
 
     grid = np.linspace(0, 1, levels)
+    t = tnorm_fn(t_kind)
     expected = []
     for cand in itertools.product(grid, repeat=m):
-        image = gmp(relation, FuzzySet(u, list(cand)), t_kind)
-        if np.all(np.abs(image.mu - bp) <= 1e-9):
+        image = np.max(t(np.array(cand)[:, None], r), axis=0)
+        if np.all(np.abs(image - bp) <= 1e-9):
             expected.append(tuple(FuzzySet(u, list(cand)).mu))
     assert got_vectors == expected
 
@@ -175,7 +185,7 @@ def test_pruned_scan_matches_the_unpruned_scan(data):
                                     min_size=m, max_size=m)))
     u = Universe("u", np.arange(m, dtype=float))
     v = Universe("v", np.arange(n, dtype=float))
-    relation = Relation(u, v, r)
+    relation = table_relation(u, v, r)
     if data.draw(st.integers(0, 3)):
         known = np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=m,
                                             max_size=m))) / (levels - 1)
@@ -198,7 +208,7 @@ def test_unprunable_wide_instance_stays_within_its_memory_bound():
     # scan cannot drop a prefix; the hits are the candidates with some degree 1
     u = make_universe("u", 0, 1, 5)
     v = make_universe("v", 0, 1, 101)
-    relation = Relation(u, v, np.ones((5, 101)))
+    relation = all_ones(u, v)
     tracemalloc.start()
     try:
         solutions = enumerate_solutions(relation, FuzzySet(v, np.ones(101)), "minimum")

@@ -359,8 +359,8 @@ def test_report_dict_shape(circuit_path):
 def test_plot_csv_format(temperature_path, tmp_path):
     problem = load_problem(temperature_path)
     out = tmp_path / "curves.csv"
-    emit_plot_data({"low": problem.sets["low"], "medium": problem.sets["medium"],
-                    "high": problem.sets["high"]}, str(out))
+    emit_plot_data([(name, problem.sets[name]) for name in ("low", "medium", "high")],
+                   str(out))
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 6
     assert lines[0] == "x,low,medium,high"
