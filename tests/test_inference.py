@@ -81,6 +81,15 @@ def test_relation_shape_validation():
         Relation(U2, V2, a=[0.3, 0.5], b=[0.2, np.inf], implication="goguen")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_relation_rejects_non_finite_degrees(side, value):
+    degrees = {"a": [0.3, 0.5], "b": [0.2, 0.4]}
+    degrees[side] = [value, 0.5]
+    with pytest.raises(ValueError, match=f"degrees {side} must be finite"):
+        Relation(U2, V2, implication="goguen", **degrees)
+
+
 # --- forward inference -------------------------------------------------------
 
 def test_gmp_reproduces_consequent_from_antecedent():

@@ -130,6 +130,14 @@ def test_implications_are_exactly_the_two_rule_families():
     assert not hasattr(fuzzyabduce, "tconorm") and not hasattr(fuzzyabduce, "DUAL_TCONORM")
 
 
+@pytest.mark.parametrize("name", ["ql_minimum", "ql_product", "ql_lukasiewicz"])
+def test_removed_ql_implications_are_unknown_everywhere(name):
+    for use in (lambda: implication_fn(name), lambda: implication(name, 0.5, 0.5),
+                lambda: property_suite(None, name, 11)):
+        with pytest.raises(ValueError, match="unknown implication"):
+            use()
+
+
 # --- residuum oracle ---------------------------------------------------------
 
 def test_residuum_oracle_matches_closed_forms():
@@ -219,3 +227,17 @@ def test_suite_rejects_mismatched_pairs():
 def test_suite_requires_tnorm_for_pure_residuated_implications():
     with pytest.raises(ValueError, match="generating t-norm"):
         property_suite(None, "goedel", 11)
+
+
+@pytest.mark.parametrize("impl_kind", sorted(IMPLICATIONS))
+def test_every_implication_gets_the_battery_of_its_family(impl_kind):
+    # every defined implication is an s- or an r-implication, so the suite
+    # always has laws to scan; zadeh alone fails its own
+    report = property_suite(TNORM_FOR_RESIDUUM.get(impl_kind), impl_kind, 11)
+    want = set()
+    if impl_kind in R_IMPLICATIONS:
+        want |= R_CHECKS
+    if impl_kind in S_IMPLICATIONS:
+        want.add("contrapositive_symmetry")
+    assert {c.name for c in report.checks} == want
+    assert report.all_passed == (impl_kind != "zadeh")
