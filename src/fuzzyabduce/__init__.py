@@ -9,19 +9,10 @@ keep both schemes honest.
 from .core import (
     TOL,
     FuzzySet,
-    Gaussian,
-    Samples,
-    Shape,
-    Singleton,
-    Trapezoidal,
-    Triangular,
     Universe,
     UniverseMismatchError,
     compatibility,
     complement,
-    core_points,
-    height,
-    is_normalized,
     make_universe,
     sample,
 )

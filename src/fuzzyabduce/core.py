@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: comparison tolerance for degree identities (normality, core membership, ...)
+#: comparison tolerance for degree equalities (solvability gaps, round trips,
+#: the oracle's exact images, operator laws)
 TOL = 1e-9
 
 
@@ -111,64 +112,6 @@ def _membership(universe: Universe, values, ndim: int) -> np.ndarray:
     return _frozen(mu)
 
 
-class Shape:
-    """Marker base for parametric membership shapes."""
-
-
-@dataclass(frozen=True)
-class Triangular(Shape):
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        _check_knots("triangular", (self.a, self.b, self.c))
-
-
-@dataclass(frozen=True)
-class Trapezoidal(Shape):
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        _check_knots("trapezoidal", (self.a, self.b, self.c, self.d))
-
-
-@dataclass(frozen=True)
-class Gaussian(Shape):
-    center: float
-    width: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.width)):
-            raise ValueError("gaussian: center and width must be finite")
-        if self.width <= 0:
-            raise ValueError(f"gaussian: width must be positive, got {self.width}")
-
-
-@dataclass(frozen=True)
-class Singleton(Shape):
-    point: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.point):
-            raise ValueError("singleton: point must be finite")
-
-
-@dataclass(frozen=True)
-class Samples(Shape):
-    """Explicit degrees, one per grid point."""
-
-    degrees: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(float(d) for d in self.degrees))
-        if not all(math.isfinite(d) for d in self.degrees):
-            raise ValueError("samples: degrees must be finite")
-
-
 def _check_knots(kind: str, knots: tuple) -> None:
     if not all(math.isfinite(k) for k in knots):
         raise ValueError(f"{kind}: knots must be finite, got {knots}")
@@ -191,57 +134,69 @@ def _ramp_down(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
         return np.where(x <= lo, 1.0, np.where(x >= hi, 0.0, (hi - x) / span))
 
 
-def sample(shape: Shape, universe: Universe) -> FuzzySet:
-    """Evaluate a shape on the universe grid.
+def _triangular(x: np.ndarray, a, b, c) -> np.ndarray:
+    _check_knots("triangular", (a, b, c))
+    return np.minimum(_ramp_up(x, a, b), _ramp_down(x, b, c))
+
+
+def _trapezoidal(x: np.ndarray, a, b, c, d) -> np.ndarray:
+    _check_knots("trapezoidal", (a, b, c, d))
+    return np.minimum(_ramp_up(x, a, b), _ramp_down(x, c, d))
+
+
+def _gaussian(x: np.ndarray, center, width) -> np.ndarray:
+    if not (math.isfinite(center) and math.isfinite(width)):
+        raise ValueError("gaussian: center and width must be finite")
+    if width <= 0:
+        raise ValueError(f"gaussian: width must be positive, got {width}")
+    # a tiny width overflows the scaled distance to inf, whose degree is 0
+    with np.errstate(over="ignore"):
+        return np.exp(-(((x - center) / width) ** 2))
+
+
+def _singleton(x: np.ndarray, point) -> np.ndarray:
+    if not math.isfinite(point):
+        raise ValueError("singleton: point must be finite")
+    mu = np.zeros(x.size)
+    mu[int(np.argmin(np.abs(x - point)))] = 1.0
+    return mu
+
+
+#: membership shapes by their name in problem files: the number of parameters
+#: each takes, and its degrees at the grid points x given them
+SHAPES = {"triangular": (3, _triangular), "trapezoidal": (4, _trapezoidal),
+          "gaussian": (2, _gaussian), "singleton": (1, _singleton)}
+
+
+def sample(kind: str, params, universe: Universe) -> FuzzySet:
+    """The set of a shape, by its name in SHAPES, evaluated on the universe grid;
+    kind "samples" takes the degrees themselves, one per grid point.
 
     Triangular and trapezoidal shapes are piecewise linear between their
     knots. A singleton puts degree 1 on the nearest grid point (ties break
     toward the lower point) and 0 elsewhere.
     """
-    x = universe.grid
-    if isinstance(shape, (Triangular, Trapezoidal, Gaussian)) and len(universe) < 2:
-        raise ValueError(
-            f"parametric shapes need at least 2 grid points on {universe.name!r}"
-        )
-    if isinstance(shape, Triangular):
-        mu = np.minimum(_ramp_up(x, shape.a, shape.b), _ramp_down(x, shape.b, shape.c))
-    elif isinstance(shape, Trapezoidal):
-        mu = np.minimum(_ramp_up(x, shape.a, shape.b), _ramp_down(x, shape.c, shape.d))
-    elif isinstance(shape, Gaussian):
-        # a tiny width overflows the scaled distance to inf, whose degree is 0
-        with np.errstate(over="ignore"):
-            mu = np.exp(-(((x - shape.center) / shape.width) ** 2))
-    elif isinstance(shape, Singleton):
-        mu = np.zeros(len(universe))
-        mu[int(np.argmin(np.abs(x - shape.point)))] = 1.0
-    elif isinstance(shape, Samples):
-        if len(shape.degrees) != len(universe):
-            raise ValueError(
-                f"samples: {len(shape.degrees)} degrees for the "
-                f"{len(universe)}-point universe {universe.name!r}"
-            )
-        mu = np.array(shape.degrees)
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
-    return FuzzySet(universe, mu)
+    if kind == "samples":
+        degrees = [float(d) for d in params]
+        if not all(math.isfinite(d) for d in degrees):
+            raise ValueError("samples: degrees must be finite")
+        if len(degrees) != len(universe):
+            raise ValueError(f"samples: {len(degrees)} degrees for the "
+                             f"{len(universe)}-point universe {universe.name!r}")
+        return FuzzySet(universe, degrees)
+    if kind not in SHAPES:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    arity, degrees_at = SHAPES[kind]
+    if len(params) != arity:
+        raise ValueError(f"shape {kind!r} takes {arity} parameters, got {len(params)}")
+    if kind != "singleton" and len(universe) < 2:
+        raise ValueError(f"parametric shapes need at least 2 grid points on {universe.name!r}")
+    return FuzzySet(universe, degrees_at(universe.grid, *params))
 
 
 def complement(s: FuzzySet) -> FuzzySet:
     """Pointwise standard negation: degree x becomes 1 - x."""
     return FuzzySet(s.universe, 1.0 - s.mu)
-
-
-def height(s: FuzzySet) -> float:
-    return float(np.max(s.mu))
-
-
-def is_normalized(s: FuzzySet) -> bool:
-    return height(s) >= 1.0 - TOL
-
-
-def core_points(s: FuzzySet) -> list[float]:
-    """Grid points carrying full membership (degree 1 within tolerance)."""
-    return [float(x) for x in s.universe.grid[s.mu >= 1.0 - TOL]]
 
 
 def compatibility(a: FuzzySet, b: FuzzySet) -> float:

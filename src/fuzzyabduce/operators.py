@@ -151,6 +151,12 @@ def implication(kind: str, a: float, b: float) -> float:
     return float(np.clip(value, 0.0, 1.0))
 
 
+def _residuum_scan(t: Callable, a: float, bs: np.ndarray, levels: int) -> np.ndarray:
+    """For each b of bs, the largest z in {0, 1/(levels-1), ..., 1} with T(a, z) <= b."""
+    zs = np.linspace(0.0, 1.0, levels)
+    return np.max(np.where(t(a, zs) <= bs[:, None], zs, 0.0), axis=1)
+
+
 def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int = 1001) -> float:
     """Brute-force residuum: the largest z on a quantized grid with T(a, z) <= b.
 
@@ -161,17 +167,16 @@ def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int = 1001) -> 
         raise ValueError(f"residuum oracle needs at least 2 levels, got {levels}")
     fn = tnorm_fn(tnorm_kind)
     av = _check_degree("a", a)
-    bv = _check_degree("b", b)
-    zs = np.linspace(0.0, 1.0, levels)
-    return float(np.max(np.where(fn(av, zs) <= bv, zs, 0.0)))
+    bs = np.array([_check_degree("b", b)])
+    return float(_residuum_scan(fn, av, bs, levels)[0])
 
 
 def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: int) -> float:
     """Largest gap between a closed-form implication and residuum_oracle
     over the points x points grid of degrees a, b = i / (points - 1).
 
-    Scans one a at a time: T(a, z) is computed once per a and compared
-    against every b, so each temporary holds points x levels values.
+    Scans one a at a time against every b, so each temporary holds
+    points x levels values.
     """
     if points < 2 or levels < 2:
         raise ValueError(f"residuum scan needs at least 2 points and 2 levels, "
@@ -179,10 +184,9 @@ def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: in
     t = tnorm_fn(tnorm_kind)
     impl = implication_fn(implication_kind)
     g = np.arange(points) / (points - 1)
-    zs = np.linspace(0.0, 1.0, levels)
     gap = 0.0
     for a in g:
-        scanned = np.max(np.where(t(a, zs)[None, :] <= g[:, None], zs, 0.0), axis=1)
+        scanned = _residuum_scan(t, a, g, levels)
         gap = max(gap, float(np.max(np.abs(np.clip(impl(a, g), 0.0, 1.0) - scanned))))
     return gap
 

@@ -32,19 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .abduction import AbductionResult, abduce_certainty, abduce_variation
-from .core import (
-    FuzzySet,
-    Gaussian,
-    Samples,
-    Singleton,
-    Trapezoidal,
-    Triangular,
-    Universe,
-    compatibility,
-    complement,
-    make_universe,
-    sample,
-)
+from .core import FuzzySet, Universe, compatibility, complement, make_universe, sample
 from .inference import CERTAINTY, VARIATION, Rule
 
 AGGREGATION_LABEL = "INVENTED AGGREGATION"
@@ -94,17 +82,14 @@ class Problem:
         return copy.deepcopy(self.spec)
 
 
-#: shape classes by their name in problem files; each takes its parameters
-#: in field order, except samples, which takes the whole list as its degrees
-_SHAPES = {cls.__name__.lower(): cls
-          for cls in (Triangular, Trapezoidal, Gaussian, Singleton, Samples)}
-
 #: the kinds of value a problem file field may hold, by the name errors give them
 _KINDS = {
     "a string": lambda v: isinstance(v, str),
     # abs() compares a JSON integer exactly, so one too large for a float fails too
     "a finite number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
                                   and abs(v) <= sys.float_info.max),
+    # a shape parameter: any float, whose finiteness sample() checks by the shape's rules
+    "a number": lambda v: isinstance(v, float) or _KINDS["a finite number"](v),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a list": lambda v: isinstance(v, list),
     "an object": lambda v: isinstance(v, dict),
@@ -161,6 +146,16 @@ def _built(where: str, make, *args):
         raise ProblemError(f"{where}: {exc}") from exc
 
 
+def _unique_keys(pairs: list, path: str) -> dict:
+    """A JSON object from its pairs; json.load alone would keep the last of two equal keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProblemError(f"{path}: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
     """Parse and validate a problem file.
 
@@ -169,7 +164,7 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
         except json.JSONDecodeError as exc:
             raise ProblemError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -206,17 +201,10 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
         entry = _field(section, name, "an object", "sets")
         uname = _ref(entry, "universe", universes, "universe", where)
         kind = _field(entry, "shape", "a string", where).strip().lower()
-        _require(kind in _SHAPES, f"{where}: unknown shape kind {kind!r}")
-        params = _list(entry, "params", "a finite number", where, [])
+        params = _list(entry, "params", "a number", where, [])
         if kind == "samples":
             params = [float(p) for p in params]
-            shape = _built(where, Samples, tuple(params))
-        else:
-            arity = len(fields(_SHAPES[kind]))
-            _require(len(params) == arity,
-                     f"{where}: shape {kind!r} takes {arity} parameters, got {len(params)}")
-            shape = _built(where, _SHAPES[kind], *params)
-        sets[name] = _built(where, sample, shape, universes[uname])
+        sets[name] = _built(where, sample, kind, params, universes[uname])
         spec["sets"][name] = {"universe": uname, "shape": kind, "params": params}
 
     rules: dict[str, Rule] = {}

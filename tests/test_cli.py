@@ -294,6 +294,22 @@ MALFORMED = {
 }
 
 
+@pytest.mark.parametrize("section, entry", [
+    ("sets", '"low": {"universe": "temperature", "shape": "singleton", "params": [0]}'),
+    ("rules", '"heat_persists": {"antecedent": "low", "consequent": "low", '
+              '"semantics": "variation", "implication": "goguen", "tnorm": "product"}'),
+])
+def test_duplicate_key_exits_1_naming_it(capsys, tmp_path, section, entry):
+    # json.load alone would keep the second of the two entries and run on it
+    text = Path(bundled_problem("temperature.json")).read_text(encoding="utf-8")
+    path = tmp_path / "duplicate.json"
+    path.write_text(text.replace(f'"{section}": {{', f'"{section}": {{{entry}, ', 1),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "infer", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: duplicate key {entry.split(':')[0][1:-1]!r}\n"
+
+
 def test_scenario_rule_on_another_universe_exits_1(capsys, tmp_path):
     path = write_mutated(tmp_path, "circuit_fault.json",
                          lambda d: d["observations"].update(observed_output="psu_nominal"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fuzzyabduce.abduction import SOLVABLE_POSSIBLY, UNSOLVABLE, abduce_variation
-from fuzzyabduce.core import FuzzySet, Universe, complement, compatibility
+from fuzzyabduce.core import FuzzySet, Universe, complement, compatibility, sample
 from fuzzyabduce.workbench import (
     AGGREGATION_LABEL,
     CAUSAL_DIAGNOSIS,
@@ -91,11 +91,30 @@ def test_unknown_universe_in_set(tmp_path):
         load_problem(write_problem(tmp_path, data))
 
 
-def test_wrong_shape_arity(tmp_path):
-    data = minimal_problem()
-    data["sets"]["present"] = {"universe": "cause", "shape": "triangular", "params": [0, 1]}
-    with pytest.raises(ProblemError, match="takes 3 parameters"):
+#: shapes that sample rejects, each as (kind, params, grid of the set's universe)
+BAD_SHAPES = {
+    "unknown_kind": ("hexagonal", [0, 1], [0, 1]),
+    "wrong_arity": ("triangular", [0, 1], [0, 1]),
+    "infinite_knot": ("triangular", [0, float("inf"), 1], [0, 1]),
+    "nan_width": ("gaussian", [0, float("nan")], [0, 1]),
+    "infinite_point": ("singleton", [-float("inf")], [0, 1]),
+    "nan_degree": ("samples", [0.5, float("nan")], [0, 1]),
+    "samples_length": ("samples", [0.5], [0, 1]),
+    "one_point_grid": ("trapezoidal", [0, 0, 1, 1], [0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_load_problem_rejects_a_shape_as_sample_does(tmp_path, case):
+    kind, params, grid = BAD_SHAPES[case]
+    with pytest.raises(ValueError) as direct:
+        sample(kind, params, Universe("cause", np.array(grid, dtype=float)))
+    data = minimal_problem(universes=[{"name": "cause", "grid": grid}, TWO_POINT[1]])
+    data["sets"]["present"] = {"universe": "cause", "shape": kind, "params": params}
+    # json.dumps writes the non-finite floats as Infinity and NaN, which json.load reads
+    with pytest.raises(ProblemError) as loaded:
         load_problem(write_problem(tmp_path, data))
+    assert str(loaded.value) == f"sets.present: {direct.value}"
 
 
 def test_unknown_observation_target(tmp_path):
