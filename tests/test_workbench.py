@@ -91,24 +91,30 @@ def test_unknown_universe_in_set(tmp_path):
         load_problem(write_problem(tmp_path, data))
 
 
-#: shapes that sample rejects, each as (kind, params, grid of the set's universe)
+#: shapes that sample rejects, each as (kind, params, grid of the set's universe,
+#: text its message must contain)
 BAD_SHAPES = {
-    "unknown_kind": ("hexagonal", [0, 1], [0, 1]),
-    "wrong_arity": ("triangular", [0, 1], [0, 1]),
-    "infinite_knot": ("triangular", [0, float("inf"), 1], [0, 1]),
-    "nan_width": ("gaussian", [0, float("nan")], [0, 1]),
-    "infinite_point": ("singleton", [-float("inf")], [0, 1]),
-    "nan_degree": ("samples", [0.5, float("nan")], [0, 1]),
-    "samples_length": ("samples", [0.5], [0, 1]),
-    "one_point_grid": ("trapezoidal", [0, 0, 1, 1], [0]),
+    "unknown_kind": ("hexagonal", [0, 1], [0, 1], "unknown shape kind 'hexagonal'"),
+    "wrong_arity": ("triangular", [0, 1], [0, 1], "shape 'triangular' takes 3 parameters, got 2"),
+    "infinite_knot": ("triangular", [0, float("inf"), 1], [0, 1],
+                      "triangular: knots must be finite"),
+    "nan_width": ("gaussian", [0, float("nan")], [0, 1],
+                  "gaussian: center and width must be finite"),
+    "infinite_point": ("singleton", [-float("inf")], [0, 1], "singleton: point must be finite"),
+    "nan_degree": ("samples", [0.5, float("nan")], [0, 1], "samples: degrees must be finite"),
+    "samples_length": ("samples", [0.5], [0, 1],
+                       "samples: 1 degrees for the 2-point universe 'cause'"),
+    "one_point_grid": ("trapezoidal", [0, 0, 1, 1], [0],
+                       "parametric shapes need at least 2 grid points on 'cause'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
 def test_load_problem_rejects_a_shape_as_sample_does(tmp_path, case):
-    kind, params, grid = BAD_SHAPES[case]
+    kind, params, grid, text = BAD_SHAPES[case]
     with pytest.raises(ValueError) as direct:
         sample(kind, params, Universe("cause", np.array(grid, dtype=float)))
+    assert text in str(direct.value)
     data = minimal_problem(universes=[{"name": "cause", "grid": grid}, TWO_POINT[1]])
     data["sets"]["present"] = {"universe": "cause", "shape": kind, "params": params}
     # json.dumps writes the non-finite floats as Infinity and NaN, which json.load reads
