@@ -15,6 +15,9 @@ import numpy as np
 #: the oracle's exact images, operator laws)
 TOL = 1e-9
 
+#: most grid points make_universe builds: 10^7 points are 80 MB per set
+MAX_POINTS = 10_000_000
+
 
 class UniverseMismatchError(ValueError):
     """Raised when an operation combines fuzzy sets from different universes."""
@@ -69,12 +72,18 @@ def make_universe(name: str, lo: float, hi: float, n: int = 101) -> Universe:
         raise ValueError(f"universe {name!r}: lower bound must be below upper, got [{lo}, {hi}]")
     if n < 2:
         raise ValueError(f"universe {name!r}: need at least 2 grid points, got {n}")
+    if n > MAX_POINTS:
+        raise ValueError(f"universe {name!r}: {n} grid points exceed the limit of "
+                         f"{MAX_POINTS}, so the grid is not allocated")
     return Universe(name, np.linspace(lo, hi, n))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FuzzySet:
-    """Membership degrees over a universe's grid, clamped to [0, 1]."""
+    """Membership degrees over a universe's grid, clamped to [0, 1].
+
+    Slotted: a set holds its two fields and no instance dict, so the oracle's
+    many small sets are cheap to build."""
 
     universe: Universe
     mu: np.ndarray
@@ -87,11 +96,12 @@ class FuzzySet:
         """One set per row of a matrix, each as FuzzySet(universe, row) would
         build it; the checks run once on the whole matrix and every set's
         degrees are a read-only view of one row."""
+        new, set_field = object.__new__, object.__setattr__
         sets = []
         for row in _membership(universe, matrix, 2):
-            s = object.__new__(cls)
-            object.__setattr__(s, "universe", universe)
-            object.__setattr__(s, "mu", row)
+            s = new(cls)
+            set_field(s, "universe", universe)
+            set_field(s, "mu", row)
             sets.append(s)
         return sets
 

@@ -151,24 +151,32 @@ def implication(kind: str, a: float, b: float) -> float:
     return float(np.clip(value, 0.0, 1.0))
 
 
-def _residuum_scan(t: Callable, a: float, bs: np.ndarray, levels: int) -> np.ndarray:
-    """For each b of bs, the largest z in {0, 1/(levels-1), ..., 1} with T(a, z) <= b."""
-    zs = np.linspace(0.0, 1.0, levels)
-    return np.max(np.where(t(a, zs) <= bs[:, None], zs, 0.0), axis=1)
+def _residuum_scan(t: Callable, a: float, bs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """For each b of bs, the largest z of the increasing grid zs with T(a, z) <= b,
+    or 0.0 where there is none.
+
+    The suffix minimum of T(a, zs) never falls as z grows, and it is <= b up
+    to the last z with T(a, z) <= b and above b after it. So a bisection finds
+    that z exactly, whether or not T rounds monotonically in z.
+    """
+    floor = np.minimum.accumulate(t(a, zs)[::-1])[::-1]
+    last = np.searchsorted(floor, bs, side="right") - 1
+    return np.where(last >= 0, zs[last], 0.0)
 
 
 def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int = 1001) -> float:
     """Brute-force residuum: the largest z on a quantized grid with T(a, z) <= b.
 
-    Independent check for the closed-form residuated implications; scans
-    all z in {0, 1/(levels-1), ..., 1}.
+    Independent check for the closed-form residuated implications. It bisects
+    the suffix minimum of T(a, z) over z in {0, 1/(levels-1), ..., 1}, and
+    still returns the largest grid z with T(a, z) <= b.
     """
     if levels < 2:
         raise ValueError(f"residuum oracle needs at least 2 levels, got {levels}")
     fn = tnorm_fn(tnorm_kind)
     av = _check_degree("a", a)
     bs = np.array([_check_degree("b", b)])
-    return float(_residuum_scan(fn, av, bs, levels)[0])
+    return float(_residuum_scan(fn, av, bs, np.linspace(0.0, 1.0, levels))[0])
 
 
 def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: int) -> float:
@@ -176,7 +184,7 @@ def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: in
     over the points x points grid of degrees a, b = i / (points - 1).
 
     Scans one a at a time against every b, so each temporary holds
-    points x levels values.
+    levels or points values.
     """
     if points < 2 or levels < 2:
         raise ValueError(f"residuum scan needs at least 2 points and 2 levels, "
@@ -184,9 +192,10 @@ def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: in
     t = tnorm_fn(tnorm_kind)
     impl = implication_fn(implication_kind)
     g = np.arange(points) / (points - 1)
+    zs = np.linspace(0.0, 1.0, levels)
     gap = 0.0
     for a in g:
-        scanned = _residuum_scan(t, a, g, levels)
+        scanned = _residuum_scan(t, a, g, zs)
         gap = max(gap, float(np.max(np.abs(np.clip(impl(a, g), 0.0, 1.0) - scanned))))
     return gap
 

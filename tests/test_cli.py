@@ -288,7 +288,7 @@ MALFORMED = {
                       "task.levels"),
     "lo_bool": ("temperature.json", lambda d: d["universes"][0].update(lo=True),
                 "universes[0].lo"),
-    # 8 EB of grid: beyond any address space, so the allocation fails at once
+    # 8 EB of grid, rejected by the point limit before any allocation
     "points_huge": ("temperature.json", lambda d: d["universes"][0].update(points=10 ** 18),
                     "universes[0]"),
 }
@@ -348,6 +348,15 @@ def test_grid_points_too_large_to_allocate_exits_1(capsys, temperature_path):
                        "--grid-points", str(10 ** 18))
     assert code == 1
     assert err.startswith("error: universes[0]") and "allocate" in err
+
+
+def test_grid_points_over_the_point_limit_exit_1_before_allocating(capsys, temperature_path):
+    # 10^7 + 1 points would be 80 MB per set; the limit is checked before np.linspace
+    code, out, err = run(capsys, "infer", "--problem", temperature_path,
+                         "--grid-points", str(10 ** 7 + 1))
+    assert code == 1 and out == ""
+    assert err == ("error: universes[0]: universe 'temperature': 10000001 grid points "
+                   "exceed the limit of 10000000, so the grid is not allocated\n")
 
 
 def test_grid_points_over_the_fold_limit_exits_1_naming_both_universes(capsys, tmp_path):

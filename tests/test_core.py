@@ -1,4 +1,5 @@
 """Universe grids, membership shapes, and elementary set operations."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyabduce.core import (
+    MAX_POINTS,
     SHAPES,
     FuzzySet,
     Universe,
@@ -48,6 +50,17 @@ def test_make_universe_rejects_bad_bounds(lo, hi, n):
         make_universe("bad", lo, hi, n)
 
 
+def test_make_universe_rejects_more_points_than_the_limit(monkeypatch):
+    # the check comes before the grid is built, so the test allocates nothing
+    def never(*args, **kwargs):
+        raise AssertionError("np.linspace was called")
+
+    monkeypatch.setattr(np, "linspace", never)
+    with pytest.raises(ValueError, match=f"10000001 grid points exceed the limit of {MAX_POINTS}"):
+        make_universe("big", 0, 1, MAX_POINTS + 1)
+    assert MAX_POINTS == 10 ** 7
+
+
 def test_universe_grid_must_strictly_increase():
     with pytest.raises(ValueError, match="strictly increasing"):
         Universe("x", np.array([0.0, 1.0, 1.0]))
@@ -86,6 +99,15 @@ def test_fuzzyset_degrees_are_read_only():
         s.mu[0] = 0.9
 
 
+def test_fuzzyset_is_slotted_and_frozen():
+    u = make_universe("u", 0, 1, 3)
+    s = FuzzySet(u, [0.2, 0.5, 0.8])
+    assert not hasattr(s, "__dict__")
+    for field, value in (("mu", np.zeros(3)), ("universe", u)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, value)
+
+
 def test_rows_match_one_set_per_row():
     u = make_universe("u", 0, 1, 3)
     matrix = np.array([[-0.5, 0.25, 1.5], [0.1, 0.2, 0.3], [1.0, -0.0, 7.0]])
@@ -94,10 +116,13 @@ def test_rows_match_one_set_per_row():
     assert [s.mu.tobytes() for s in got] == [s.mu.tobytes() for s in want]
     assert np.array_equal(got[0].mu, [0.0, 0.25, 1.0])
     for s in got:
+        assert type(s) is FuzzySet and not hasattr(s, "__dict__")
         assert s.universe is u
         assert s.mu.shape == (3,) and s.mu.dtype == float
         with pytest.raises(ValueError):
             s.mu[0] = 0.9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.mu = np.zeros(3)
     assert np.array_equal(matrix[0], [-0.5, 0.25, 1.5])  # the input is not modified
 
 

@@ -17,6 +17,7 @@ from fuzzyabduce.operators import (
     implication,
     implication_fn,
     property_suite,
+    _residuum_scan,
     residuum_gap,
     residuum_oracle,
     tnorm,
@@ -160,6 +161,51 @@ def test_residuum_gap_equals_the_scalar_scan(t_name, impl_name):
         for i in range(11) for j in range(11)
     )
     assert residuum_gap(t_name, impl_name, 11, 101) == expected
+
+
+def scan_by_definition(t, a, bs, zs):
+    """For each b, the largest z with T(a, z) <= b, or 0.0 where there is none,
+    read off the full table of T(a, z) <= b; 256 bs at a time bounds the table."""
+    return np.concatenate([
+        np.max(np.where(t(a, zs) <= chunk[:, None], zs, 0.0), axis=1)
+        for chunk in np.array_split(bs, -(-bs.size // 256))
+    ])
+
+
+# 0 and 1, the floats next to them, and the least normal float
+EDGE_DEGREES = (0.0, float(np.nextafter(0.0, 1.0)), float(np.finfo(float).tiny),
+                float(np.nextafter(1.0, 0.0)), 1.0)
+
+
+@given(st.sampled_from(sorted(TNORMS)),
+       st.one_of(st.sampled_from(EDGE_DEGREES), st.floats(0, 1)),
+       st.integers(2, 4097),
+       st.lists(st.floats(0, 1), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_residuum_scan_equals_its_definition(t_name, a, levels, extra):
+    t = TNORMS[t_name]
+    zs = np.linspace(0.0, 1.0, levels)
+    row = t(a, zs)
+    # every T(a, z) is a b where the answer steps, so each tie is drawn, and
+    # the floats just below them fall on the other side; a b below 0 has no z
+    bs = np.concatenate([row, np.nextafter(row, -1.0), extra, [-1.0]])
+    got = _residuum_scan(t, a, bs, zs)
+    assert got.tobytes() == scan_by_definition(t, a, bs, zs).tobytes()
+
+
+def test_residuum_scan_does_not_need_a_monotone_row():
+    # a row that dips and rises again: the suffix minimum, not monotone
+    # rounding in z, is what finds the last z with T(a, z) <= b
+    # (a bisection of the row itself lands left of the 0.2 and returns z = 1/8
+    # for b = 0.2 and 0.5)
+    row = np.array([0.0, 0.1, 0.9, 0.8, 0.9, 0.6, 0.2, 0.7, 1.0])
+    zs = np.linspace(0.0, 1.0, row.size)
+    t = lambda a, z: a * row  # noqa: E731
+    bs = np.array([-0.1, 0.0, 0.05, 0.1, 0.15, 0.2, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+    got = _residuum_scan(t, 1.0, bs, zs)
+    assert got.tobytes() == scan_by_definition(t, 1.0, bs, zs).tobytes()
+    last = [None, 0, 0, 1, 1, 6, 6, 6, 7, 7, 7, 8]
+    assert np.array_equal(got, [0.0 if k is None else zs[k] for k in last])
 
 
 @given(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False),
