@@ -95,13 +95,16 @@ class FuzzySet:
     def rows(cls, universe: Universe, matrix) -> list[FuzzySet]:
         """One set per row of a matrix, each as FuzzySet(universe, row) would
         build it; the checks run once on the whole matrix and every set's
-        degrees are a read-only view of one row."""
-        new, set_field = object.__new__, object.__setattr__
+        degrees are a read-only view of one row. The two slots are set through
+        their member descriptors, which skips the frozen class's __setattr__
+        and the lookup of each name."""
+        new = object.__new__
+        set_universe, set_mu = cls.universe.__set__, cls.mu.__set__
         sets = []
         for row in _membership(universe, matrix, 2):
             s = new(cls)
-            set_field(s, "universe", universe)
-            set_field(s, "mu", row)
+            set_universe(s, universe)
+            set_mu(s, row)
             sets.append(s)
         return sets
 

@@ -183,8 +183,9 @@ def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: in
     """Largest gap between a closed-form implication and residuum_oracle
     over the points x points grid of degrees a, b = i / (points - 1).
 
-    Scans one a at a time against every b, so each temporary holds
-    levels or points values.
+    Scans one a at a time against every b, stacks the scanned rows and
+    compares them with the closed form in one pass, so the largest
+    temporaries hold points x points values.
     """
     if points < 2 or levels < 2:
         raise ValueError(f"residuum scan needs at least 2 points and 2 levels, "
@@ -193,11 +194,8 @@ def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: in
     impl = implication_fn(implication_kind)
     g = np.arange(points) / (points - 1)
     zs = np.linspace(0.0, 1.0, levels)
-    gap = 0.0
-    for a in g:
-        scanned = _residuum_scan(t, a, g, zs)
-        gap = max(gap, float(np.max(np.abs(np.clip(impl(a, g), 0.0, 1.0) - scanned))))
-    return gap
+    scanned = np.stack([_residuum_scan(t, a, g, zs) for a in g])
+    return float(np.max(np.abs(np.clip(impl(g[:, None], g[None, :]), 0.0, 1.0) - scanned)))
 
 
 # --- algebraic property suite ----------------------------------------------

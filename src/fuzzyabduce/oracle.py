@@ -6,11 +6,14 @@ number of grid points, so it only runs on deliberately small universes; its
 job is to check the analytical hypotheses, not to scale.
 
 The image of a candidate is the pointwise maximum of one row of a level table,
-T(level, R(u, v)), per grid point u. Candidates grow one coordinate at a time
-as integer codes beside their partial images, and a prefix whose partial image
-already exceeds the observation by more than the tolerance is dropped: a
-maximum only grows, so none of its completions can match. Prefixes expand in
-blocks, so memory stays bounded however many candidates there are.
+T(level, R(u, v)), per grid point u. The scan treats the equation as a covering
+problem (Sanchez 1976; Di Nola et al. 1989): a level is admissible at u when its
+row never exceeds the observation by more than the tolerance, and it covers the
+v where its row reaches the observation within the tolerance. The solutions are
+exactly the candidates of admissible levels whose rows together cover every v
+(see enumerate_solutions). Candidates grow one grid point at a time over
+admissible levels, as integer codes beside packed cover bits, and in blocks, so
+memory stays bounded however many candidates there are.
 """
 from __future__ import annotations
 
@@ -23,7 +26,11 @@ from .inference import Relation, check_universe
 from .operators import tnorm_fn
 
 _MAX_CANDIDATES = 10_000_000
-#: rows of |V| degrees that one expansion step may hold (at least one level's worth)
+#: the most cells the level table T(level, R(u, v)) may hold, |U| x levels x |V|
+#: (80 MB per float array); the relation's |U| x |V| degrees are fewer
+_MAX_TABLE_CELLS = 10_000_000
+#: cover rows that one expansion step may hold (at least one point's admissible
+#: levels' worth); a row packs one bit per v, so it takes ceil(|V| / 8) bytes
 _CHUNK = 8_192
 
 
@@ -58,14 +65,19 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
     returns the shift); matching is within the standard tolerance.
     Candidates come back in lexicographic order of their degree vectors.
 
-    The scan tabulates T(level, R(u, v)) once for every grid point u, level
-    and v; a candidate's image is the maximum of its points' rows. It places
-    one point at a time and drops each prefix whose partial image exceeds the
-    observation by more than the tolerance at some v: the image of every
-    completion is at least as large there, so none of them can match. Each
-    step expands a block of prefixes into at most max(_CHUNK, levels)
-    candidates, so memory does not grow with the search space. The final test
-    and the hits are those of testing every candidate's full image.
+    The scan computes gap = T(level, R(u, v)) - target once for every grid
+    point u, level and v. A level is admissible at u when its gap is at most
+    TOL at every v, and its cover row is the packed bits of gap >= -TOL. The
+    rounded x - t never falls as x grows, so fl(max x - t) = max fl(x - t):
+    the image minus the target is at most TOL at v iff every row's gap is,
+    and at least -TOL iff some row's is. So a candidate's image is within TOL
+    of the target exactly when each of its levels is admissible and its cover
+    rows OR to every v, and the hits are those of testing every candidate's
+    full image. The scan places one point at a time, expanding only its admissible
+    levels in ascending order, and each step expands a block of prefixes into
+    at most max(_CHUNK, levels) cover rows, so memory does not grow with the
+    search space. A level table over _MAX_TABLE_CELLS cells is rejected
+    before it, or the relation's degrees, is built.
     """
     check_universe(b_prime, relation.v_universe, "observation", "into")
     n = len(relation.u_universe)
@@ -79,36 +91,48 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
         raise ValueError(
             f"search space of {total} candidates exceeds the limit of {_MAX_CANDIDATES}"
         )
+    width = len(relation.v_universe)
+    cells = n * search.levels * width
+    if cells > _MAX_TABLE_CELLS:
+        raise ValueError(
+            f"level table of {cells} cells ({n} grid points x {search.levels} levels x "
+            f"{width} observation points) exceeds the limit of {_MAX_TABLE_CELLS}"
+        )
     target, _ = snap_to_levels(b_prime.mu, search.levels)
     grid = np.linspace(0.0, 1.0, search.levels)
-    table = tnorm_fn(tnorm)(grid[None, :, None], relation.degrees[:, None, :])
-    # start from the empty prefix, code 0, whose image is 0 everywhere
-    hits = list(_hit_codes(table, target, np.zeros((1, len(target))),
+    gap = tnorm_fn(tnorm)(grid[None, :, None], relation.degrees[:, None, :]) - target
+    admissible = np.all(gap <= TOL, axis=2)
+    covers = np.packbits(gap >= -TOL, axis=2)
+    points = [(picks, covers[u, picks])
+              for u, picks in enumerate(map(np.flatnonzero, admissible))]
+    full = np.packbits(np.ones(width, dtype=bool))
+    # start from the empty prefix, code 0, which covers no v
+    hits = list(_hit_codes(points, full, search.levels,
+                           np.zeros((1, full.size), dtype=np.uint8),
                            np.zeros(1, dtype=np.int64)))
     codes = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
     index = np.stack(np.unravel_index(codes, (search.levels,) * n), axis=1)
     return FuzzySet.rows(relation.u_universe, grid[index])
 
 
-def _hit_codes(table: np.ndarray, target: np.ndarray, images: np.ndarray,
+def _hit_codes(points: list, full: np.ndarray, levels: int, covered: np.ndarray,
                codes: np.ndarray):
     """Yield blocks of matching candidates' codes, in lexicographic order.
 
     codes holds the prefixes placed so far as mixed-radix integers (first
-    point most significant) and images their partial images; table holds the
-    level rows of the points still to place, table[u, k, v] = T(level k, R(u, v)).
+    point most significant) and covered the OR of their cover rows; points
+    holds, for each point still to place, its admissible levels in ascending
+    order and their cover rows. full is the cover row of every v.
     """
-    levels, width = table.shape[1:]
-    step = max(1, _CHUNK // levels)
+    picks, rows = points[0]
+    step = max(1, _CHUNK // (len(picks) or 1))
     for lo in range(0, len(codes), step):
-        grown = np.maximum(images[lo:lo + step, None, :], table[0]).reshape(-1, width)
-        grown_codes = (codes[lo:lo + step, None] * levels + np.arange(levels)).ravel()
-        if len(table) == 1:
-            yield grown_codes[np.all(np.abs(grown - target) <= TOL, axis=1)]
+        grown = (covered[lo:lo + step, None, :] | rows).reshape(-1, full.size)
+        grown_codes = (codes[lo:lo + step, None] * levels + picks).ravel()
+        if len(points) == 1:
+            yield grown_codes[np.all(grown == full, axis=1)]
         else:
-            keep = np.all(grown - target <= TOL, axis=1)
-            grown, grown_codes = grown[keep], grown_codes[keep]
-            yield from _hit_codes(table[1:], target, grown, grown_codes)
+            yield from _hit_codes(points[1:], full, levels, grown, grown_codes)
 
 
 def greatest_enumerated(solutions: list[FuzzySet]) -> FuzzySet | None:

@@ -399,6 +399,22 @@ def test_enumerate_rejects_levels_too_large_for_a_float(capsys, tmp_path, source
     assert len(err.splitlines()) == 1
 
 
+def test_enumerate_rejects_a_level_table_over_its_cell_limit(capsys, tmp_path):
+    # 2 causes x 11 levels x 500,000 effect points is 1.1e7 level-table cells
+    data = json.loads(Path(write_unsolvable_problem(tmp_path)).read_text(encoding="utf-8"))
+    data["universes"][1]["points"] = 500_000
+    data["sets"]["weak"] = {"universe": "effect", "shape": "triangular",
+                            "params": [0.0, 0.5, 1.0]}
+    data["sets"]["spike"] = {"universe": "effect", "shape": "triangular",
+                             "params": [0.2, 0.4, 0.6]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err == ("error: level table of 11000000 cells (2 grid points x 11 levels x "
+                   "500000 observation points) exceeds the limit of 10000000\n")
+
+
 def test_check_ops_rejects_levels_below_2(capsys):
     code, out, err = run(capsys, "check-ops", "--levels", "1")
     assert code == 1 and out == ""

@@ -111,6 +111,49 @@ def test_search_bounds_are_enforced():
         enumerate_solutions(relation, FuzzySet(V2, [1, 1]), "minimum", big)
 
 
+class Points:
+    """A universe stand-in that has a length and no grid."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+class UnreadRelation:
+    """A relation stand-in whose degrees fail the test if read."""
+
+    def __init__(self, u, v):
+        self.u_universe, self.v_universe = u, v
+
+    @property
+    def degrees(self):
+        raise AssertionError("the relation's degrees were read")
+
+
+def test_level_table_over_the_cell_limit_is_rejected_before_it_is_built():
+    # 2 points x 11 levels x 10**7 observation points (make_universe's limit) is
+    # 2.2e8 cells, 1.76 GB per float array; no grid of that size exists here
+    v = Points(10 ** 7)
+    relation = UnreadRelation(U2, v)
+    with patch.object(oracle, "tnorm_fn", side_effect=AssertionError("tabulated")):
+        with pytest.raises(ValueError) as exc:
+            enumerate_solutions(relation, SimpleNamespace(universe=v), "minimum")
+    assert str(exc.value) == ("level table of 220000000 cells (2 grid points x 11 levels x "
+                              "10000000 observation points) exceeds the limit of 10000000")
+
+
+def test_level_table_limit_admits_a_table_at_the_limit():
+    relation = build_relation(goedel_rule())  # 2 points x 11 levels x 2 points = 44 cells
+    target = FuzzySet(V2, [0.8, 0.2])
+    with patch.object(oracle, "_MAX_TABLE_CELLS", 44):
+        assert len(enumerate_solutions(relation, target, "minimum")) == 35
+    with patch.object(oracle, "_MAX_TABLE_CELLS", 43):
+        with pytest.raises(ValueError, match="level table of 44 cells"):
+            enumerate_solutions(relation, target, "minimum")
+
+
 def test_enumeration_checks_observation_universe():
     relation = build_relation(goedel_rule())
     with pytest.raises(UniverseMismatchError):
@@ -192,20 +235,77 @@ def test_pruned_scan_matches_the_unpruned_scan(data):
         observed = np.max(tnorm_fn(t_kind)(known[:, None], r), axis=0)
     else:
         observed = np.array(data.draw(st.lists(degree, min_size=n, max_size=n)))
-    target = FuzzySet(v, observed)
-    search = QuantizedSearch(levels=levels)
+    assert_matches_unpruned_scan(relation, FuzzySet(v, observed), t_kind, levels)
 
+
+def assert_matches_unpruned_scan(relation, target, t_kind, levels):
+    """The oracle's solutions are the unpruned scan's, in its order and byte for
+    byte, for every block size; returns how many there are."""
     want = [s.mu.tobytes() for s in unpruned_scan(relation, target, t_kind, levels)]
     for chunk in (oracle._CHUNK, 1, 7, 121):
         with patch.object(oracle, "_CHUNK", chunk):
-            got = enumerate_solutions(relation, target, t_kind, search)
+            got = enumerate_solutions(relation, target, t_kind, QuantizedSearch(levels=levels))
         assert [s.mu.tobytes() for s in got] == want, f"_CHUNK={chunk}"
-        assert all(s.universe is u and not s.mu.flags.writeable for s in got)
+        assert all(s.universe is relation.u_universe and not s.mu.flags.writeable
+                   for s in got)
+    return len(want)
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 16, 17, None])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_cover_rows_match_the_unpruned_scan_across_byte_boundaries(width, data):
+    """A cover row packs one bit per observation point, eight to a byte: widths
+    on both sides of the first two byte boundaries, and any width up to 20."""
+    n = width or data.draw(st.integers(1, 20))
+    m = data.draw(st.integers(1, 3))
+    levels = data.draw(st.sampled_from([2, 3, 5, 11]))
+    t_kind = data.draw(st.sampled_from(["minimum", "product", "lukasiewicz"]))
+    q = st.sampled_from([i / (levels - 1) for i in range(levels)])
+    degree = q if data.draw(st.booleans()) else st.floats(0, 1, allow_nan=False)
+    r = np.array(data.draw(st.lists(st.lists(degree, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    if data.draw(st.integers(0, 3)):
+        known = np.array(data.draw(st.lists(q, min_size=m, max_size=m)))
+        observed = np.max(tnorm_fn(t_kind)(known[:, None], r), axis=0)
+    else:
+        observed = np.array(data.draw(st.lists(q, min_size=n, max_size=n)))
+    u = Universe("u", np.arange(m, dtype=float))
+    v = Universe("v", np.arange(n, dtype=float))
+    assert_matches_unpruned_scan(table_relation(u, v, r), FuzzySet(v, observed), t_kind, levels)
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 16, 17])
+def test_every_level_admissible_leaves_the_cover_to_decide(width):
+    # B' = 1 bounds no image, so every level is admissible; a point covers v only
+    # at level 1 where R(u, v) = 1, and each point holds 1 on its own stripe of v
+    u = Universe("u", np.arange(3, dtype=float))
+    v = Universe("v", np.arange(width, dtype=float))
+    r = np.where(np.arange(width)[None, :] % 3 == np.arange(3)[:, None], 1.0, 0.5)
+    count = assert_matches_unpruned_scan(table_relation(u, v, r), FuzzySet(v, np.ones(width)),
+                                         "product", 5)
+    assert count == 1  # every point at level 1
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 16, 17])
+def test_a_point_with_no_admissible_level_leaves_no_solution(width):
+    # T(0, x) = 0 for x in [0, 1], so level 0 is always admissible; a table
+    # degree of 1.5 lifts lukasiewicz's T(0, 1.5) to 0.5, over B' = 0.2 at the
+    # last v, so the second point has no admissible level at all
+    u = Universe("u", np.arange(2, dtype=float))
+    v = Universe("v", np.arange(width, dtype=float))
+    r = np.full((2, width), 0.2)
+    r[1, -1] = 1.5
+    relation = table_relation(u, v, r)
+    target = FuzzySet(v, np.full(width, 0.2))
+    assert assert_matches_unpruned_scan(relation, target, "lukasiewicz", 11) == 0
+    r[1, -1] = 1.0  # back in [0, 1]: the second point admits levels 0 to 0.2 again
+    assert assert_matches_unpruned_scan(relation, target, "lukasiewicz", 11) > 0
 
 
 def test_unprunable_wide_instance_stays_within_its_memory_bound():
-    # R = 1 and B' = 1: no partial image ever exceeds the observation, so the
-    # scan cannot drop a prefix; the hits are the candidates with some degree 1
+    # R = 1 and B' = 1: every level is admissible, so the scan cannot skip a
+    # candidate; the hits are the candidates with some degree 1
     u = make_universe("u", 0, 1, 5)
     v = make_universe("v", 0, 1, 101)
     relation = all_ones(u, v)
