@@ -12,7 +12,7 @@ from .abduction import UNSOLVABLE, abduce_certainty, abduce_variation
 from .core import UniverseMismatchError
 from .inference import CERTAINTY, build_relation, gmp
 from .operators import RESIDUUM_FOR_TNORM, S_IMPLICATIONS, property_suite, residuum_gap
-from .oracle import QuantizedSearch, enumerate_solutions, greatest_enumerated, snap_to_levels
+from .oracle import QuantizedSearch, enumerate_solutions, snap_to_levels
 from .workbench import (
     FAULT_COMPONENT,
     ProblemError,
@@ -155,27 +155,27 @@ def cmd_enumerate(args) -> int:
 
     relation = build_relation(rule)
     # enumerate first: its candidate limit rejects a level count too large for a float
-    solutions = enumerate_solutions(relation, observed, rule.tnorm, search)
+    matrix = enumerate_solutions(relation, observed, rule.tnorm, search).matrix
     _, snap_distance = snap_to_levels(observed.mu, levels)
     if snap_distance > 1e-9:
         print(f"observation snapped to the {levels}-level grid "
               f"(largest shift {snap_distance:.6f})")
-    print(f"exact solutions at {levels} levels: {len(solutions)}")
-    shown = solutions[:20]
-    for s in shown:
-        print(f"  {format_degrees(s.mu)}")
-    if len(solutions) > len(shown):
-        print(f"  ... and {len(solutions) - len(shown)} more")
-    top = greatest_enumerated(solutions)
+    print(f"exact solutions at {levels} levels: {len(matrix)}")
+    shown = matrix[:20]
+    for row in shown:
+        print(f"  {format_degrees(row)}")
+    if len(matrix) > len(shown):
+        print(f"  ... and {len(matrix) - len(shown)} more")
+    top = matrix.max(axis=0).tolist() if len(matrix) else None
     if top is not None:
-        print(f"greatest solution: {format_degrees(top.mu)}")
+        print(f"greatest solution: {format_degrees(top)}")
     write_json(args.out, {
         "rule": rule_name,
         "observation": obs_name,
         "levels": levels,
         "snap_distance": snap_distance,
-        "solutions": [[float(x) for x in s.mu] for s in solutions],
-        "greatest": [float(x) for x in top.mu] if top is not None else None,
+        "solutions": matrix.tolist(),
+        "greatest": top,
     })
     return 0
 

@@ -82,31 +82,14 @@ def make_universe(name: str, lo: float, hi: float, n: int = 101) -> Universe:
 class FuzzySet:
     """Membership degrees over a universe's grid, clamped to [0, 1].
 
-    Slotted: a set holds its two fields and no instance dict, so the oracle's
-    many small sets are cheap to build."""
+    Slotted: a set holds its two fields and no instance dict, so the sets that
+    the oracle's solutions build as they are read are cheap."""
 
     universe: Universe
     mu: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "mu", _membership(self.universe, self.mu, 1))
-
-    @classmethod
-    def rows(cls, universe: Universe, matrix) -> list[FuzzySet]:
-        """One set per row of a matrix, each as FuzzySet(universe, row) would
-        build it; the checks run once on the whole matrix and every set's
-        degrees are a read-only view of one row. The two slots are set through
-        their member descriptors, which skips the frozen class's __setattr__
-        and the lookup of each name."""
-        new = object.__new__
-        set_universe, set_mu = cls.universe.__set__, cls.mu.__set__
-        sets = []
-        for row in _membership(universe, matrix, 2):
-            s = new(cls)
-            set_universe(s, universe)
-            set_mu(s, row)
-            sets.append(s)
-        return sets
 
 
 def _membership(universe: Universe, values, ndim: int) -> np.ndarray:

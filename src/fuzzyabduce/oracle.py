@@ -13,15 +13,18 @@ v where its row reaches the observation within the tolerance. The solutions are
 exactly the candidates of admissible levels whose rows together cover every v
 (see enumerate_solutions). Candidates grow one grid point at a time over
 admissible levels, as integer codes beside packed cover bits, and in blocks, so
-memory stays bounded however many candidates there are.
+memory stays bounded however many candidates there are. The solutions come back
+as one degree matrix (Solutions), read as fuzzy sets only where a caller reads one.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, FuzzySet
+from .core import TOL, FuzzySet, Universe, _membership
 from .inference import Relation, check_universe
 from .operators import tnorm_fn
 
@@ -57,13 +60,51 @@ def snap_to_levels(mu: np.ndarray, levels: int) -> tuple[np.ndarray, float]:
     return snapped, float(np.max(np.abs(snapped - values))) if values.size else 0.0
 
 
+#: FuzzySet's two slots, set without its frozen __setattr__ and __post_init__
+_set_universe, _set_mu = FuzzySet.universe.__set__, FuzzySet.mu.__set__
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Solutions(Sequence):
+    """The oracle's solutions as a sequence of fuzzy sets over one universe.
+
+    matrix is the read-only (k, |U|) degree matrix, one solution per row, checked
+    once as FuzzySet checks one vector; enumerate_solutions builds it. An item is
+    a FuzzySet built when it is read, whose degrees are a read-only view of its
+    row, with no second check; a slice is the Solutions of those rows.
+    """
+
+    universe: Universe
+    matrix: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Solutions(self.universe, self.matrix[index])
+        return self._item(self.matrix[operator.index(index)])
+
+    def __iter__(self):
+        return map(self._item, self.matrix)
+
+    def _item(self, row: np.ndarray) -> FuzzySet:
+        # the row is already checked, so no FuzzySet check runs on it again
+        s = object.__new__(FuzzySet)
+        _set_universe(s, self.universe)
+        _set_mu(s, row)
+        return s
+
+
 def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
-                        search: QuantizedSearch = QuantizedSearch()) -> list[FuzzySet]:
-    """All quantized antecedents whose forward image matches the observation.
+                        search: QuantizedSearch = QuantizedSearch()) -> Solutions:
+    """All quantized antecedents whose forward image matches the observation,
+    as one read-only matrix over the relation's antecedent universe (Solutions).
 
     The observation is snapped to the quantization grid first (snap_to_levels
     returns the shift); matching is within the standard tolerance.
-    Candidates come back in lexicographic order of their degree vectors.
+    Candidates come back in lexicographic order of their degree vectors, and
+    no FuzzySet is built until a caller reads one.
 
     The scan computes gap = T(level, R(u, v)) - target once for every grid
     point u, level and v. A level is admissible at u when its gap is at most
@@ -112,7 +153,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
                            np.zeros(1, dtype=np.int64)))
     codes = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
     index = np.stack(np.unravel_index(codes, (search.levels,) * n), axis=1)
-    return FuzzySet.rows(relation.u_universe, grid[index])
+    return Solutions(relation.u_universe, _membership(relation.u_universe, grid[index], 2))
 
 
 def _hit_codes(points: list, full: np.ndarray, levels: int, covered: np.ndarray,
@@ -135,7 +176,7 @@ def _hit_codes(points: list, full: np.ndarray, levels: int, covered: np.ndarray,
             yield from _hit_codes(points[1:], full, levels, grown, grown_codes)
 
 
-def greatest_enumerated(solutions: list[FuzzySet]) -> FuzzySet | None:
+def greatest_enumerated(solutions: Sequence[FuzzySet]) -> FuzzySet | None:
     """Pointwise maximum of enumerated solutions; None when there are none."""
     if not solutions:
         return None

@@ -97,7 +97,7 @@ def test_certainty_worked_instance():
     assert not result.roundtrip.covers_observation
     assert not result.roundtrip.within_observation
     # no quantized antecedent reproduces the observation exactly
-    assert enumerate_solutions(build_relation(rule), b_prime, "minimum") == []
+    assert len(enumerate_solutions(build_relation(rule), b_prime, "minimum")) == 0
 
 
 def test_certainty_hypothesis_solves_the_contraposed_relation():
@@ -180,7 +180,7 @@ def test_gate_passing_does_not_imply_solvable():
     assert result.solvability.verdict == SOLVABLE_POSSIBLY
     assert np.allclose(result.hypothesis.mu, [0.3])
     assert not result.roundtrip.covers_observation
-    assert enumerate_solutions(build_relation(rule), b_prime, "minimum") == []
+    assert len(enumerate_solutions(build_relation(rule), b_prime, "minimum")) == 0
 
 
 # --- the two code paths of the certainty scheme agree --------------------------

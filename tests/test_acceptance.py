@@ -207,7 +207,7 @@ def test_criterion_7_solvability_gate_is_necessary_but_not_sufficient():
         if verdict.verdict == UNSOLVABLE:
             unsolvable_seen += 1
             assert verdict.witness is not None
-            assert enumerate_solutions(relation, b_prime, t_kind, search) == []
+            assert len(enumerate_solutions(relation, b_prime, t_kind, search)) == 0
     assert unsolvable_seen >= 10, "scan never hit an unsolvable instance"
 
     # converse failure: gate passes, yet a single antecedent point cannot
@@ -218,7 +218,7 @@ def test_criterion_7_solvability_gate_is_necessary_but_not_sufficient():
     relation = build_relation(rule)
     b_prime = FuzzySet(v2, [0.3, 0.6])
     assert check_solvability(relation, b_prime).verdict == SOLVABLE_POSSIBLY
-    assert enumerate_solutions(relation, b_prime, "minimum") == []
+    assert len(enumerate_solutions(relation, b_prime, "minimum")) == 0
 
 
 def test_criterion_8_cli_round_trips_are_deterministic_and_fast(capsys, tmp_path):

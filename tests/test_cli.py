@@ -145,6 +145,35 @@ def test_enumerate_reports_snapping(capsys, tmp_path):
     assert "exact solutions at 11 levels: 35" in out
 
 
+def test_enumerate_lists_the_first_20_solutions_and_counts_the_rest(capsys, tmp_path):
+    # the goedel rule of A = [1, 0.4] reaches B' = B from 35 antecedents at 11 levels
+    data = {
+        "universes": [{"name": "u", "lo": 0, "hi": 1, "points": 2},
+                      {"name": "v", "lo": 0, "hi": 1, "points": 2}],
+        "sets": {
+            "a": {"universe": "u", "shape": "samples", "params": [1, 0.4]},
+            "b": {"universe": "v", "shape": "samples", "params": [0.8, 0.2]},
+        },
+        "rules": {"r": {"antecedent": "a", "consequent": "b", "semantics": "variation",
+                        "implication": "goedel", "tnorm": "minimum"}},
+        "observations": {},
+        "task": {"rule": "r", "input": "b"},
+    }
+    path, out_path = tmp_path / "many.json", tmp_path / "many_out.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run(capsys, "enumerate", "--problem", str(path), "--out", str(out_path))
+    assert code == 0
+    written = json.loads(out_path.read_text(encoding="utf-8"))
+    solutions, greatest = written["solutions"], written["greatest"]
+    lines = out.splitlines()
+    assert lines[0] == f"exact solutions at 11 levels: {len(solutions)}"
+    assert len(solutions) > 20
+    assert lines[1:21] == ["  " + ", ".join(f"{x:.6f}" for x in s) for s in solutions[:20]]
+    assert lines[21] == f"  ... and {len(solutions) - 20} more"
+    assert greatest == [max(column) for column in zip(*solutions)]
+    assert lines[22:] == ["greatest solution: " + ", ".join(f"{x:.6f}" for x in greatest)]
+
+
 def test_check_ops_reports_zadeh_failure(capsys):
     code, out, _ = run(capsys, "check-ops", "--levels", "11")
     assert code == 0

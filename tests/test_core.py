@@ -108,24 +108,6 @@ def test_fuzzyset_is_slotted_and_frozen():
             setattr(s, field, value)
 
 
-def test_rows_match_one_set_per_row():
-    u = make_universe("u", 0, 1, 3)
-    matrix = np.array([[-0.5, 0.25, 1.5], [0.1, 0.2, 0.3], [1.0, -0.0, 7.0]])
-    got = FuzzySet.rows(u, matrix)
-    want = [FuzzySet(u, row) for row in matrix]
-    assert [s.mu.tobytes() for s in got] == [s.mu.tobytes() for s in want]
-    assert np.array_equal(got[0].mu, [0.0, 0.25, 1.0])
-    for s in got:
-        assert type(s) is FuzzySet and not hasattr(s, "__dict__")
-        assert s.universe is u
-        assert s.mu.shape == (3,) and s.mu.dtype == float
-        with pytest.raises(ValueError):
-            s.mu[0] = 0.9
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            s.mu = np.zeros(3)
-    assert np.array_equal(matrix[0], [-0.5, 0.25, 1.5])  # the input is not modified
-
-
 def test_negative_zero_degrees_are_stored_as_positive_zero():
     u = make_universe("u", 0, 1, 5)
     degrees = [-0.0, -0.0, 0.0, 0.5, 1.0]
@@ -133,21 +115,6 @@ def test_negative_zero_degrees_are_stored_as_positive_zero():
     assert not np.any(np.signbit(mu))
     # tobytes tells -0.0 from 0.0, where == does not
     assert mu.tobytes() == np.array([0.0, 0.0, 0.0, 0.5, 1.0]).tobytes()
-    assert [s.mu.tobytes() for s in FuzzySet.rows(u, [degrees, degrees])] == [mu.tobytes()] * 2
-
-
-def test_rows_reject_what_the_constructor_rejects():
-    u = make_universe("u", 0, 1, 3)
-    for bad in (np.zeros((2, 2)), np.array([[0.1, float("inf"), 0.2]])):
-        with pytest.raises(ValueError) as single:
-            FuzzySet(u, bad[0])
-        with pytest.raises(ValueError) as block:
-            FuzzySet.rows(u, bad)
-        assert str(block.value) == str(single.value)
-
-
-def test_rows_of_an_empty_matrix():
-    assert FuzzySet.rows(make_universe("u", 0, 1, 3), np.zeros((0, 3))) == []
 
 
 # --- shapes ------------------------------------------------------------------

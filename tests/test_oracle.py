@@ -1,4 +1,5 @@
 """Brute-force enumeration of exact antecedents on quantized small instances."""
+import dataclasses
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -57,7 +58,7 @@ def test_every_enumerated_solution_reproduces_the_target():
 def test_unreachable_target_has_no_solutions():
     rule = Rule(FuzzySet(U2, [0.5, 0.5]), FuzzySet(V2, [0.3, 0.3]),
                 "variation", "goedel", "minimum")
-    assert enumerate_solutions(build_relation(rule), FuzzySet(V2, [0.9, 0.2]), "minimum") == []
+    assert len(enumerate_solutions(build_relation(rule), FuzzySet(V2, [0.9, 0.2]), "minimum")) == 0
 
 
 def test_zero_target_forces_zero_antecedent():
@@ -169,6 +170,59 @@ def test_greatest_of_single_solution_is_itself():
     assert np.array_equal(greatest_enumerated([s]).mu, s.mu)
 
 
+def test_solutions_read_as_a_sequence_of_sets():
+    relation = build_relation(goedel_rule())
+    solutions = enumerate_solutions(relation, FuzzySet(V2, [0.8, 0.2]), "minimum")
+    rows = solutions.matrix
+    assert len(solutions) == len(rows) == 35
+    assert np.array_equal(solutions[0].mu, rows[0])
+    assert np.array_equal(solutions[-1].mu, rows[34])
+    assert np.array_equal(solutions[np.int64(3)].mu, rows[3])
+    for index in (35, -36):
+        with pytest.raises(IndexError):
+            solutions[index]
+    with pytest.raises(TypeError):
+        solutions[1.0]
+    part = solutions[3:9:2]
+    assert type(part) is oracle.Solutions and part.universe is solutions.universe
+    assert np.array_equal(part.matrix, rows[3:9:2])
+    assert [s.mu.tobytes() for s in part] == [row.tobytes() for row in rows[3:9:2]]
+    assert len(solutions[40:]) == 0
+    assert [s.mu.tobytes() for s in solutions] == [row.tobytes() for row in rows]
+
+
+def test_solution_matrix_is_read_only_and_empty_when_nothing_solves():
+    relation = build_relation(goedel_rule())
+    solutions = enumerate_solutions(relation, FuzzySet(V2, [0.8, 0.2]), "minimum")
+    assert solutions.universe is relation.u_universe
+    assert solutions.matrix.shape == (35, 2) and solutions.matrix.dtype == float
+    with pytest.raises(ValueError):
+        solutions.matrix[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        solutions[:2].matrix[0, 0] = 0.5
+    rule = Rule(FuzzySet(U2, [0.5, 0.5]), FuzzySet(V2, [0.3, 0.3]),
+                "variation", "goedel", "minimum")
+    none = enumerate_solutions(build_relation(rule), FuzzySet(V2, [0.9, 0.2]), "minimum")
+    assert len(none) == 0 and list(none) == []
+    assert none.matrix.shape == (0, 2) and not none.matrix.flags.writeable
+
+
+def test_every_solution_is_the_set_its_row_builds():
+    relation = build_relation(goedel_rule())
+    solutions = enumerate_solutions(relation, FuzzySet(V2, [0.8, 0.2]), "minimum")
+    items = list(solutions) + [solutions[i] for i in range(-len(solutions), len(solutions))]
+    for s in items:
+        assert type(s) is FuzzySet and not hasattr(s, "__dict__")
+        assert s.universe is relation.u_universe
+        assert s.mu.shape == (2,) and not s.mu.flags.writeable
+        with pytest.raises(ValueError):
+            s.mu[0] = 0.9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.mu = np.zeros(2)
+    for s, row in zip(solutions, solutions.matrix):
+        assert s.mu.tobytes() == FuzzySet(relation.u_universe, row).mu.tobytes()
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_enumeration_agrees_with_a_naive_filter(data):
@@ -249,6 +303,38 @@ def assert_matches_unpruned_scan(relation, target, t_kind, levels):
         assert all(s.universe is relation.u_universe and not s.mu.flags.writeable
                    for s in got)
     return len(want)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_block_size_gives_the_same_matrix(data):
+    """The solution matrix's bytes do not depend on _CHUNK: one cover row per
+    block, two, one point's levels, and the default, on instances up to the
+    5-point limit, where the default splits the last point's prefixes into
+    several blocks."""
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 6))
+    levels = data.draw(st.sampled_from([2, 3, 5, 11]))
+    t_kind = data.draw(st.sampled_from(["minimum", "product", "lukasiewicz"]))
+    q = st.sampled_from([i / (levels - 1) for i in range(levels)])
+    degree = q if data.draw(st.booleans()) else st.floats(0, 1, allow_nan=False)
+    r = np.array(data.draw(st.lists(st.lists(degree, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    if data.draw(st.integers(0, 3)):
+        known = np.array(data.draw(st.lists(q, min_size=m, max_size=m)))
+        observed = np.max(tnorm_fn(t_kind)(known[:, None], r), axis=0)
+    else:
+        observed = np.array(data.draw(st.lists(q, min_size=n, max_size=n)))
+    u = Universe("u", np.arange(m, dtype=float))
+    v = Universe("v", np.arange(n, dtype=float))
+    relation, target = table_relation(u, v, r), FuzzySet(v, observed)
+    search = QuantizedSearch(levels=levels)
+    got = {}
+    for chunk in (1, 2, levels, oracle._CHUNK):
+        with patch.object(oracle, "_CHUNK", chunk):
+            matrix = enumerate_solutions(relation, target, t_kind, search).matrix
+        got[chunk] = (matrix.shape, matrix.tobytes())
+    assert len(set(got.values())) == 1, got
 
 
 @pytest.mark.parametrize("width", [7, 8, 9, 16, 17, None])
