@@ -12,7 +12,7 @@ from .abduction import UNSOLVABLE, abduce_certainty, abduce_variation
 from .core import UniverseMismatchError
 from .inference import CERTAINTY, build_relation, gmp
 from .operators import RESIDUUM_FOR_TNORM, S_IMPLICATIONS, property_suite, residuum_gap
-from .oracle import QuantizedSearch, enumerate_solutions, snap_to_levels
+from .oracle import QuantizedSearch, enumerate_solutions, greatest_enumerated, snap_to_levels
 from .workbench import (
     FAULT_COMPONENT,
     ProblemError,
@@ -155,7 +155,8 @@ def cmd_enumerate(args) -> int:
 
     relation = build_relation(rule)
     # enumerate first: its candidate limit rejects a level count too large for a float
-    matrix = enumerate_solutions(relation, observed, rule.tnorm, search).matrix
+    solutions = enumerate_solutions(relation, observed, rule.tnorm, search)
+    matrix = solutions.matrix
     _, snap_distance = snap_to_levels(observed.mu, levels)
     if snap_distance > 1e-9:
         print(f"observation snapped to the {levels}-level grid "
@@ -166,16 +167,16 @@ def cmd_enumerate(args) -> int:
         print(f"  {format_degrees(row)}")
     if len(matrix) > len(shown):
         print(f"  ... and {len(matrix) - len(shown)} more")
-    top = matrix.max(axis=0).tolist() if len(matrix) else None
-    if top is not None:
-        print(f"greatest solution: {format_degrees(top)}")
+    greatest = greatest_enumerated(solutions)
+    if greatest is not None:
+        print(f"greatest solution: {format_degrees(greatest.mu)}")
     write_json(args.out, {
         "rule": rule_name,
         "observation": obs_name,
         "levels": levels,
         "snap_distance": snap_distance,
         "solutions": matrix.tolist(),
-        "greatest": top,
+        "greatest": None if greatest is None else greatest.mu.tolist(),
     })
     return 0
 

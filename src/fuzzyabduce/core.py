@@ -23,16 +23,6 @@ class UniverseMismatchError(ValueError):
     """Raised when an operation combines fuzzy sets from different universes."""
 
 
-def clamp01(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, 0.0, 1.0)
-
-
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Universe:
     """A named, strictly increasing grid standing in for a continuous domain."""
@@ -41,7 +31,8 @@ class Universe:
     grid: np.ndarray
 
     def __post_init__(self):
-        grid = _frozen(self.grid)
+        grid = np.array(self.grid, dtype=float)
+        grid.setflags(write=False)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError(f"universe {self.name!r}: grid must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(grid)):
@@ -82,30 +73,26 @@ def make_universe(name: str, lo: float, hi: float, n: int = 101) -> Universe:
 class FuzzySet:
     """Membership degrees over a universe's grid, clamped to [0, 1].
 
-    Slotted: a set holds its two fields and no instance dict, so the sets that
-    the oracle's solutions build as they are read are cheap."""
+    The degrees, finite and one per grid point, are clipped into one fresh array
+    with no negative zero, frozen in place. Slotted: a set holds its two fields
+    and no instance dict, so the sets that the oracle's solutions build as they
+    are read are cheap."""
 
     universe: Universe
     mu: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _membership(self.universe, self.mu, 1))
-
-
-def _membership(universe: Universe, values, ndim: int) -> np.ndarray:
-    """Degrees checked, clamped and frozen: one vector over the universe's grid
-    when ndim is 1, a matrix of such vectors, one per row, when ndim is 2."""
-    mu = np.asarray(values, dtype=float)
-    if mu.shape[ndim - 1:] != (len(universe),):
-        raise ValueError(
-            f"membership vector has {mu.shape[ndim - 1:]} values for the "
-            f"{len(universe)}-point universe {universe.name!r}"
-        )
-    if not np.all(np.isfinite(mu)):
-        raise ValueError(f"membership degrees on {universe.name!r} must be finite")
-    mu = clamp01(mu)
-    mu += 0.0  # -0.0 + 0.0 is +0.0, so no degree keeps the sign of a negative zero
-    return _frozen(mu)
+        universe = self.universe
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.shape != (len(universe),):
+            raise ValueError(f"membership vector has {mu.shape} values for the "
+                             f"{len(universe)}-point universe {universe.name!r}")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError(f"membership degrees on {universe.name!r} must be finite")
+        mu = np.clip(mu, 0.0, 1.0)  # the one copy
+        mu += 0.0  # -0.0 + 0.0 is +0.0, so no degree keeps the sign of a negative zero
+        mu.setflags(write=False)
+        object.__setattr__(self, "mu", mu)
 
 
 def _check_knots(kind: str, knots: tuple) -> None:

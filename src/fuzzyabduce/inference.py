@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FuzzySet, Universe, UniverseMismatchError, clamp01
+from .core import FuzzySet, Universe, UniverseMismatchError
 from .operators import (
     ANTITONE,
     RESIDUUM_FOR_TNORM,
@@ -92,9 +92,10 @@ MAX_FOLD_CELLS = 100_000_000
 class Relation:
     """A rule's fuzzy relation between two grids: degree (i, j) relates u_i to v_j.
 
-    It holds only the degree vectors a on U and b on V and the name of an
-    implication I, and computes rows of clamp01(I(a(u), b(v))) on demand;
-    `degrees` tabulates it in full only when read.
+    It holds only the degree vectors a on U and b on V, finite and in [0, 1]
+    as the closed forms assume, and the name of an implication I, and computes
+    rows of I(a(u), b(v)), clipped to [0, 1], on demand; `degrees` tabulates it
+    in full only when read.
     """
 
     u_universe: Universe
@@ -110,8 +111,9 @@ class Relation:
             v = np.asarray(getattr(self, side), dtype=float)
             if v.shape != (n,):
                 raise ValueError(f"rule relation needs {side} of shape {(n,)}, got {v.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"rule relation degrees {side} must be finite")
+            if not 0.0 <= v.min() <= v.max() <= 1.0:  # NaN carries through min and max
+                need = "be finite" if not np.all(np.isfinite(v)) else "lie in [0, 1]"
+                raise ValueError(f"rule relation degrees {side} must {need}")
             object.__setattr__(self, side, v)
 
     def rows(self, index) -> np.ndarray:
@@ -255,7 +257,7 @@ def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzyS
         impl = implication_fn(residuum)
         o = observed.mu[None, :]
         bound = np.concatenate([np.min(impl(rows, o), axis=1) for _, rows in relation.blocks()])
-    return FuzzySet(relation.u_universe, clamp01(bound))
+    return FuzzySet(relation.u_universe, bound)
 
 
 def _goedel_bound(a: np.ndarray, b: np.ndarray, o: np.ndarray) -> np.ndarray:

@@ -228,13 +228,13 @@ class PropertyReport:
         return all(c.passed for c in self.checks)
 
 
-def _worst_case(violation: np.ndarray, grids: tuple, lhs: np.ndarray, rhs: np.ndarray,
-                tol: float) -> Counterexample | None:
+def _worst_case(violation: np.ndarray, grids: tuple, lhs: np.ndarray,
+                rhs: np.ndarray) -> Counterexample | None:
     """The worst counterexample in a violation tensor, or None within tolerance."""
     shape = violation.shape
     worst_flat = int(np.argmax(violation))
     worst_val = float(violation.flat[worst_flat])
-    if worst_val <= tol:
+    if worst_val <= TOL:
         return None
     idx = np.unravel_index(worst_flat, shape)
     args = tuple(float(g[i]) for g, i in zip(grids, idx))
@@ -249,7 +249,7 @@ MAX_GRID_CELLS = 10_000_000
 
 
 def property_suite(tnorm_kind: Optional[str], implication_kind: str,
-                   grid_levels: int = 21, tol: float = TOL) -> PropertyReport:
+                   grid_levels: int = 21) -> PropertyReport:
     """Scan an implication for its expected algebraic laws on a quantized grid.
 
     Residuated implications must be paired with their generating t-norm and
@@ -270,7 +270,7 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
     checks: list[PropertyCheck] = []
 
     def add(name, violation, grids, lhs, rhs):
-        worst = _worst_case(violation, grids, lhs, rhs, tol)
+        worst = _worst_case(violation, grids, lhs, rhs)
         checks.append(PropertyCheck(name, worst is None, violation.size, worst))
 
     run_r = impl_name in R_IMPLICATIONS and tnorm_kind is not None

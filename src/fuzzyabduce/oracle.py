@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, FuzzySet, Universe, _membership
+from .core import TOL, FuzzySet, Universe
 from .inference import Relation, check_universe
 from .operators import tnorm_fn
 
@@ -68,10 +68,11 @@ _set_universe, _set_mu = FuzzySet.universe.__set__, FuzzySet.mu.__set__
 class Solutions(Sequence):
     """The oracle's solutions as a sequence of fuzzy sets over one universe.
 
-    matrix is the read-only (k, |U|) degree matrix, one solution per row, checked
-    once as FuzzySet checks one vector; enumerate_solutions builds it. An item is
-    a FuzzySet built when it is read, whose degrees are a read-only view of its
-    row, with no second check; a slice is the Solutions of those rows.
+    matrix is the read-only (k, |U|) degree matrix, one solution per row;
+    enumerate_solutions builds it from quantization levels, which are finite,
+    in [0, 1] and never a negative zero, and freezes it in place. An item is a
+    FuzzySet built when it is read, whose degrees are a read-only view of its
+    row, with no check; a slice is the Solutions of those rows.
     """
 
     universe: Universe
@@ -89,7 +90,7 @@ class Solutions(Sequence):
         return map(self._item, self.matrix)
 
     def _item(self, row: np.ndarray) -> FuzzySet:
-        # the row is already checked, so no FuzzySet check runs on it again
+        # the row holds levels, already degrees, so no FuzzySet check runs on it
         s = object.__new__(FuzzySet)
         _set_universe(s, self.universe)
         _set_mu(s, row)
@@ -100,6 +101,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
                         search: QuantizedSearch = QuantizedSearch()) -> Solutions:
     """All quantized antecedents whose forward image matches the observation,
     as one read-only matrix over the relation's antecedent universe (Solutions).
+    Its matrix is the one array that picks each solution's levels, frozen in place.
 
     The observation is snapped to the quantization grid first (snap_to_levels
     returns the shift); matching is within the standard tolerance.
@@ -153,7 +155,9 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
                            np.zeros(1, dtype=np.int64)))
     codes = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
     index = np.stack(np.unravel_index(codes, (search.levels,) * n), axis=1)
-    return Solutions(relation.u_universe, _membership(relation.u_universe, grid[index], 2))
+    matrix = grid[index]  # fancy indexing: a fresh array of levels
+    matrix.setflags(write=False)
+    return Solutions(relation.u_universe, matrix)
 
 
 def _hit_codes(points: list, full: np.ndarray, levels: int, covered: np.ndarray,
@@ -176,9 +180,8 @@ def _hit_codes(points: list, full: np.ndarray, levels: int, covered: np.ndarray,
             yield from _hit_codes(points[1:], full, levels, grown, grown_codes)
 
 
-def greatest_enumerated(solutions: Sequence[FuzzySet]) -> FuzzySet | None:
-    """Pointwise maximum of enumerated solutions; None when there are none."""
+def greatest_enumerated(solutions: Solutions) -> FuzzySet | None:
+    """Pointwise maximum of the solution matrix's rows; None when there are none."""
     if not solutions:
         return None
-    stacked = np.stack([s.mu for s in solutions])
-    return FuzzySet(solutions[0].universe, np.max(stacked, axis=0))
+    return FuzzySet(solutions.universe, solutions.matrix.max(axis=0))

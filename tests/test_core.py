@@ -1,5 +1,6 @@
 """Universe grids, membership shapes, and elementary set operations."""
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,6 +107,21 @@ def test_fuzzyset_is_slotted_and_frozen():
     for field, value in (("mu", np.zeros(3)), ("universe", u)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, field, value)
+
+
+def test_fuzzyset_copies_its_degrees_once():
+    # clipped into one fresh array, frozen in place: no second copy at any point
+    u = make_universe("u", 0, 1, 10 ** 6)
+    degrees = np.linspace(-0.5, 1.5, 10 ** 6)
+    tracemalloc.start()
+    try:
+        s = FuzzySet(u, degrees)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * degrees.nbytes
+    assert not np.shares_memory(s.mu, degrees) and degrees.flags.writeable
+    assert s.mu.min() == 0.0 and s.mu.max() == 1.0
 
 
 def test_negative_zero_degrees_are_stored_as_positive_zero():

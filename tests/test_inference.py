@@ -90,6 +90,18 @@ def test_relation_rejects_non_finite_degrees(side, value):
         Relation(U2, V2, implication="goguen", **degrees)
 
 
+@pytest.mark.parametrize("value", [-0.5, -1e-300, 1.5, np.nextafter(1.0, 2.0)])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_relation_rejects_degrees_outside_the_unit_interval(side, value):
+    # outside [0, 1] the closed forms disagree with the clipped table: a = -0.5
+    # and b = 0.2 tabulate kleene_dienes as 1, yet its image of 0.5 under
+    # product would be max(0.5 * 1.5, 0.5 * 0.2) = 0.75, not 0.5
+    degrees = {"a": [0.3, 0.5], "b": [0.2, 0.4]}
+    degrees[side] = [0.5, value]
+    with pytest.raises(ValueError, match=rf"degrees {side} must lie in \[0, 1\]"):
+        Relation(U2, V2, implication="kleene_dienes", **degrees)
+
+
 # --- forward inference -------------------------------------------------------
 
 def test_gmp_reproduces_consequent_from_antecedent():

@@ -67,6 +67,9 @@ def test_zero_target_forces_zero_antecedent():
     solutions = enumerate_solutions(relation, FuzzySet(V2, [0, 0]), "minimum")
     assert len(solutions) == 1
     assert np.array_equal(solutions[0].mu, [0, 0])
+    # the matrix holds the levels themselves, frozen in place: no -0.0 among them
+    assert not solutions.matrix.flags.writeable
+    assert not np.any(np.signbit(solutions.matrix))
 
 
 def test_off_grid_observation_is_snapped_first():
@@ -166,8 +169,9 @@ def test_greatest_of_nothing_is_none():
 
 
 def test_greatest_of_single_solution_is_itself():
-    s = FuzzySet(U2, [0.3, 0.7])
-    assert np.array_equal(greatest_enumerated([s]).mu, s.mu)
+    s = oracle.Solutions(U2, np.array([[0.3, 0.7]]))
+    top = greatest_enumerated(s)
+    assert top.universe is U2 and np.array_equal(top.mu, s[0].mu)
 
 
 def test_solutions_read_as_a_sequence_of_sets():
@@ -252,6 +256,13 @@ def test_enumeration_agrees_with_a_naive_filter(data):
         if np.all(np.abs(image - bp) <= 1e-9):
             expected.append(tuple(FuzzySet(u, list(cand)).mu))
     assert got_vectors == expected
+    top = greatest_enumerated(got)
+    if expected:
+        assert top.universe is u
+        assert top.mu.tobytes() == got.matrix.max(axis=0).tobytes()
+        assert top.mu.tobytes() == np.max(expected, axis=0).tobytes()
+    else:
+        assert top is None
 
 
 def unpruned_scan(relation, b_prime, tnorm, levels):
@@ -302,6 +313,7 @@ def assert_matches_unpruned_scan(relation, target, t_kind, levels):
         assert [s.mu.tobytes() for s in got] == want, f"_CHUNK={chunk}"
         assert all(s.universe is relation.u_universe and not s.mu.flags.writeable
                    for s in got)
+        assert not got.matrix.flags.writeable and not np.any(np.signbit(got.matrix))
     return len(want)
 
 
