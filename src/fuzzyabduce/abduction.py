@@ -60,6 +60,8 @@ class VerificationReport:
 
 @dataclass(frozen=True, eq=False)
 class AbductionResult:
+    """A scheme's hypothesis, its solvability verdict and its round trip."""
+
     scheme: str
     hypothesis: FuzzySet
     solvability: Solvability
@@ -88,13 +90,16 @@ def check_solvability(relation: Relation, b_prime: FuzzySet) -> Solvability:
     return Solvability(SOLVABLE_POSSIBLY)
 
 
-def _verify(relation: Relation, hypothesis: FuzzySet, observed: FuzzySet,
-            tnorm: str) -> VerificationReport:
+def _result(scheme: str, relation: Relation, hypothesis: FuzzySet, observed: FuzzySet,
+            solvability: Solvability, tnorm: str) -> AbductionResult:
+    """A scheme's hypothesis with its verdict and its round trip: its forward
+    image through the rule's own relation, compared against the observation."""
     reproduced = gmp(relation, hypothesis, tnorm)
     residual = float(np.max(np.abs(reproduced.mu - observed.mu)))
     covers = bool(np.all(reproduced.mu >= observed.mu - TOL))
     within = bool(np.all(reproduced.mu <= observed.mu + TOL))
-    return VerificationReport(reproduced, residual, covers, within)
+    roundtrip = VerificationReport(reproduced, residual, covers, within)
+    return AbductionResult(scheme, hypothesis, solvability, roundtrip)
 
 
 def abduce_certainty(rule: Rule, b_prime: FuzzySet, tnorm: str) -> AbductionResult:
@@ -123,13 +128,8 @@ def abduce_certainty(rule: Rule, b_prime: FuzzySet, tnorm: str) -> AbductionResu
     contraposed = Relation(rule.consequent.universe, rule.antecedent.universe,
                            a=1.0 - rule.consequent.mu, b=1.0 - rule.antecedent.mu,
                            implication=rule.implication)
-    hypothesis = gmp(contraposed, b_prime, tnorm)
-    return AbductionResult(
-        hypothesis=hypothesis,
-        scheme=CERTAINTY_SCHEME,
-        solvability=solvability,
-        roundtrip=_verify(forward, hypothesis, b_prime, tnorm),
-    )
+    return _result(CERTAINTY_SCHEME, forward, gmp(contraposed, b_prime, tnorm), b_prime,
+                   solvability, tnorm)
 
 
 def abduce_variation(rule: Rule, b_prime: FuzzySet) -> AbductionResult:
@@ -147,10 +147,5 @@ def abduce_variation(rule: Rule, b_prime: FuzzySet) -> AbductionResult:
         raise ValueError(f"abduce_variation needs a variation rule, got {rule.semantics!r}")
     relation = build_relation(rule)
     solvability = check_solvability(relation, b_prime)
-    hypothesis = residual_bound(relation, b_prime, rule.tnorm)
-    return AbductionResult(
-        hypothesis=hypothesis,
-        scheme=VARIATION_SCHEME,
-        solvability=solvability,
-        roundtrip=_verify(relation, hypothesis, b_prime, rule.tnorm),
-    )
+    return _result(VARIATION_SCHEME, relation, residual_bound(relation, b_prime, rule.tnorm),
+                   b_prime, solvability, rule.tnorm)

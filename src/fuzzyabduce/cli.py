@@ -9,7 +9,6 @@ import argparse
 import sys
 
 from .abduction import UNSOLVABLE, abduce_certainty, abduce_variation
-from .core import UniverseMismatchError
 from .inference import CERTAINTY, build_relation, gmp
 from .operators import RESIDUUM_FOR_TNORM, S_IMPLICATIONS, property_suite, residuum_gap
 from .oracle import QuantizedSearch, enumerate_solutions, greatest_enumerated, snap_to_levels
@@ -265,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemError, UniverseMismatchError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

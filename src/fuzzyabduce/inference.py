@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,9 +92,9 @@ class Relation:
     """A rule's fuzzy relation between two grids: degree (i, j) relates u_i to v_j.
 
     It holds only the degree vectors a on U and b on V, finite and in [0, 1]
-    as the closed forms assume, and the name of an implication I, and computes
-    rows of I(a(u), b(v)), clipped to [0, 1], on demand; `degrees` tabulates it
-    in full only when read.
+    as the closed forms assume, each a read-only copy of the caller's, and the
+    name of an implication I, and computes rows of I(a(u), b(v)), clipped to
+    [0, 1], on demand; it never keeps a table.
     """
 
     u_universe: Universe
@@ -108,25 +107,19 @@ class Relation:
         implication_fn(self.implication)  # raises on an unknown implication
         object.__setattr__(self, "implication", canonical_name(self.implication))
         for side, n in (("a", len(self.u_universe)), ("b", len(self.v_universe))):
-            v = np.asarray(getattr(self, side), dtype=float)
+            v = np.array(getattr(self, side), dtype=float)  # the one copy
             if v.shape != (n,):
                 raise ValueError(f"rule relation needs {side} of shape {(n,)}, got {v.shape}")
             if not 0.0 <= v.min() <= v.max() <= 1.0:  # NaN carries through min and max
                 need = "be finite" if not np.all(np.isfinite(v)) else "lie in [0, 1]"
                 raise ValueError(f"rule relation degrees {side} must {need}")
+            v.setflags(write=False)
             object.__setattr__(self, side, v)
 
     def rows(self, index) -> np.ndarray:
         """Degrees of the rows at index, a slice or an index array."""
         rows = implication_fn(self.implication)(self.a[index, None], self.b[None, :])
         return np.clip(rows, 0.0, 1.0, out=rows)  # a fresh array, clamped in place
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        """The whole |U|x|V| table, tabulated on first read."""
-        table = self.rows(slice(None))
-        table.setflags(write=False)
-        return table
 
     def blocks(self, rows=None):
         """Yield (lo, rows lo onwards) over blocks of about BLOCK_CELLS degrees.

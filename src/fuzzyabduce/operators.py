@@ -220,7 +220,6 @@ class PropertyCheck:
 class PropertyReport:
     tnorm: Optional[str]
     implication: str
-    grid_levels: int
     checks: tuple
 
     @property
@@ -255,7 +254,11 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
     Residuated implications must be paired with their generating t-norm and
     are checked for the ordering, detachment, and boundary laws that tie a
     residuum to its t-norm. Material (s-family) implications are checked for
-    contrapositive symmetry. Failures are recorded with the worst
+    contrapositive symmetry. An unknown t-norm is rejected.
+
+    Each law is a row (name, lhs, rhs, premise or None, "==" or "<="), its
+    arguments one grid axis each; it is violated where the premise holds and
+    lhs differs from rhs, or exceeds it. Failures are recorded with the worst
     counterexample found; they are report content, not errors.
     """
     if grid_levels < 2:
@@ -265,66 +268,43 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
                          f"of {MAX_GRID_CELLS} cells for its three-argument laws")
     impl_name = canonical_name(implication_kind)
     impl = implication_fn(impl_name)
+    t_name = None if tnorm_kind is None else canonical_name(tnorm_kind)
+    if t_name is None and impl_name not in S_IMPLICATIONS:
+        raise ValueError(f"implication {implication_kind!r} is residuated; "
+                         f"pass its generating t-norm")
+    t = None if t_name is None else tnorm_fn(t_name)  # raises on an unknown t-norm
     g = np.linspace(0.0, 1.0, grid_levels)
     a2, b2 = g[:, None], g[None, :]
-    checks: list[PropertyCheck] = []
-
-    def add(name, violation, grids, lhs, rhs):
-        worst = _worst_case(violation, grids, lhs, rhs)
-        checks.append(PropertyCheck(name, worst is None, violation.size, worst))
-
-    run_r = impl_name in R_IMPLICATIONS and tnorm_kind is not None
-    if impl_name in R_IMPLICATIONS and tnorm_kind is None and impl_name not in S_IMPLICATIONS:
-        raise ValueError(
-            f"implication {implication_kind!r} is residuated; pass its generating t-norm"
-        )
-    if run_r:
-        t_name = canonical_name(tnorm_kind)
-        if TNORM_FOR_RESIDUUM.get(impl_name) != t_name:
-            raise ValueError(
-                f"implication {impl_name!r} is the residuum of "
-                f"{TNORM_FOR_RESIDUUM.get(impl_name)!r}, not of {t_name!r}"
-            )
-        t = tnorm_fn(t_name)
-        iab = impl(a2, b2)
-
-        # larger consequents never shrink the implication degree
+    iab = impl(a2, b2)
+    laws = []
+    if impl_name in R_IMPLICATIONS and t is not None:
+        if TNORM_FOR_RESIDUUM[impl_name] != t_name:
+            raise ValueError(f"implication {impl_name!r} is the residuum of "
+                             f"{TNORM_FOR_RESIDUUM[impl_name]!r}, not of {t_name!r}")
         a3, b3, c3 = g[:, None, None], g[None, :, None], g[None, None, :]
-        lhs = impl(a3, b3)
-        rhs = impl(a3, c3)
-        viol = np.where(b3 <= c3, lhs - rhs, -np.inf)
-        add("monotone_consequent", viol, (g, g, g), lhs, rhs)
-
-        # combining an antecedent with its residuum stays under the consequent
-        lhs = t(a2, iab)
-        add("detachment_below", lhs - b2, (g, g), lhs, b2)
-
-        # the residuum recovers at least the consequent from a conjunction
-        rhs = impl(a2, t(a2, b2))
-        add("expansion_above", b2 - rhs, (g, g), b2, rhs)
-
-        # stronger antecedents never raise the implication degree
-        lhs = impl(b3, c3)
-        rhs = impl(a3, c3)
-        viol = np.where(a3 <= b3, lhs - rhs, -np.inf)
-        add("antitone_antecedent", viol, (g, g, g), lhs, rhs)
-
-        # an already-satisfied implication has full degree
-        viol = np.where(a2 <= b2, np.abs(iab - 1.0), -np.inf)
-        add("full_degree_when_ordered", viol, (g, g), iab, 1.0)
-
-        # a certain antecedent passes the consequent through unchanged
-        i1b = impl(np.asarray(1.0), g)
-        add("left_unit", np.abs(i1b - g), (g,), i1b, g)
-
-        # the implication degree dominates the bare consequent
-        add("dominates_consequent", b2 - iab, (g, g), b2, iab)
-
+        laws += [
+            # larger consequents never shrink the implication degree
+            ("monotone_consequent", impl(a3, b3), impl(a3, c3), b3 <= c3, "<="),
+            # combining an antecedent with its residuum stays under the consequent
+            ("detachment_below", t(a2, iab), b2, None, "<="),
+            # the residuum recovers at least the consequent from a conjunction
+            ("expansion_above", b2, impl(a2, t(a2, b2)), None, "<="),
+            # stronger antecedents never raise the implication degree
+            ("antitone_antecedent", impl(b3, c3), impl(a3, c3), a3 <= b3, "<="),
+            # an already-satisfied implication has full degree
+            ("full_degree_when_ordered", iab, 1.0, a2 <= b2, "=="),
+            # a certain antecedent passes the consequent through unchanged
+            ("left_unit", impl(1.0, g), g, None, "=="),
+            # the implication degree dominates the bare consequent
+            ("dominates_consequent", b2, iab, None, "<="),
+        ]
     if impl_name in S_IMPLICATIONS:
-        lhs = impl(a2, b2)
-        rhs = impl(1.0 - b2, 1.0 - a2)
-        add("contrapositive_symmetry", np.abs(lhs - rhs), (g, g), lhs, rhs)
-    return PropertyReport(
-        canonical_name(tnorm_kind) if tnorm_kind else None, impl_name, grid_levels,
-        tuple(checks),
-    )
+        laws.append(("contrapositive_symmetry", iab, impl(1.0 - b2, 1.0 - a2), None, "=="))
+    checks = []
+    for name, lhs, rhs, premise, compare in laws:
+        violation = np.abs(lhs - rhs) if compare == "==" else lhs - rhs
+        if premise is not None:
+            violation = np.where(premise, violation, -np.inf)
+        worst = _worst_case(violation, (g,) * violation.ndim, lhs, rhs)
+        checks.append(PropertyCheck(name, worst is None, violation.size, worst))
+    return PropertyReport(t_name, impl_name, tuple(checks))

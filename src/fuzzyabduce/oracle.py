@@ -120,7 +120,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
     levels in ascending order, and each step expands a block of prefixes into
     at most max(_CHUNK, levels) cover rows, so memory does not grow with the
     search space. A level table over _MAX_TABLE_CELLS cells is rejected
-    before it, or the relation's degrees, is built.
+    before it, or the relation's rows, is built.
     """
     check_universe(b_prime, relation.v_universe, "observation", "into")
     n = len(relation.u_universe)
@@ -143,7 +143,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
         )
     target, _ = snap_to_levels(b_prime.mu, search.levels)
     grid = np.linspace(0.0, 1.0, search.levels)
-    gap = tnorm_fn(tnorm)(grid[None, :, None], relation.degrees[:, None, :]) - target
+    gap = tnorm_fn(tnorm)(grid[None, :, None], relation.rows(slice(None))[:, None, :]) - target
     admissible = np.all(gap <= TOL, axis=2)
     covers = np.packbits(gap >= -TOL, axis=2)
     points = [(picks, covers[u, picks])

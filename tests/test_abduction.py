@@ -238,7 +238,7 @@ def test_variation_bound_formula_matches_direct_loop(data):
 
     relation = build_relation(rule)
     expected = np.array([
-        min(implication(impl_kind, float(relation.degrees[i, j]), float(observed.mu[j]))
+        min(implication(impl_kind, float(relation.rows(slice(None))[i, j]), float(observed.mu[j]))
             for j in range(n))
         for i in range(m)
     ])

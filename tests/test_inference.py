@@ -52,24 +52,24 @@ def test_unknown_semantics_or_tnorm_rejected():
 
 def test_zadeh_is_allowed_for_forward_certainty_rules():
     r = rule_of([1, 0.4], [0.8, 0.2], semantics="certainty", impl="zadeh")
-    assert build_relation(r).degrees.shape == (2, 2)
+    assert build_relation(r).rows(slice(None)).shape == (2, 2)
 
 
 # --- relations ---------------------------------------------------------------
 
 def test_relation_values_goedel():
     r = build_relation(rule_of([1, 0.4], [0.8, 0.2]))
-    assert np.allclose(r.degrees, [[0.8, 0.2], [1.0, 0.2]])
+    assert np.allclose(r.rows(slice(None)), [[0.8, 0.2], [1.0, 0.2]])
 
 
 def test_relation_crisp_kleene_dienes_truth_table():
     r = build_relation(rule_of([1, 0], [1, 0], semantics="certainty", impl="kleene_dienes"))
-    assert np.array_equal(r.degrees, [[1, 0], [1, 1]])
+    assert np.array_equal(r.rows(slice(None)), [[1, 0], [1, 1]])
 
 
 def test_relation_vacuous_antecedent_is_all_ones():
     r = build_relation(rule_of([0, 0], [0.3, 0.9], semantics="certainty", impl="reichenbach"))
-    assert np.array_equal(r.degrees, np.ones((2, 2)))
+    assert np.array_equal(r.rows(slice(None)), np.ones((2, 2)))
 
 
 def test_relation_shape_validation():
@@ -118,7 +118,7 @@ def test_gmp_of_empty_input_is_empty():
 
 def test_gmp_recovers_crisp_modus_ponens():
     relation = Relation(U2, V2, a=[1.0, 0.0], b=[1.0, 0.0], implication="goedel")
-    assert np.array_equal(relation.degrees, [[1, 0], [1, 1]])
+    assert np.array_equal(relation.rows(slice(None)), [[1, 0], [1, 1]])
     image = gmp(relation, FuzzySet(U2, [1, 0]), "minimum")
     assert np.array_equal(image.mu, [1, 0])
 

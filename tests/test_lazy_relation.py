@@ -32,6 +32,7 @@ from fuzzyabduce.inference import (
     residual_bound,
 )
 from fuzzyabduce import operators
+from fuzzyabduce.oracle import QuantizedSearch, enumerate_solutions
 from fuzzyabduce.operators import (
     ANTITONE,
     CONTRAPOSITIVE_S,
@@ -105,7 +106,7 @@ def test_image_equals_the_full_table(drawn, impl, tnorm):
     want = dense_image(table, p, tnorm)
     lazy = Relation(u, v, a=a, b=b, implication=impl)
     assert np.array_equal(gmp(lazy, FuzzySet(u, p), tnorm).mu, want)
-    assert np.array_equal(lazy.degrees, table)
+    assert np.array_equal(lazy.rows(slice(None)), table)
 
 
 @given(any_vectors, st.sampled_from(IMPLICATIONS))
@@ -266,10 +267,7 @@ def test_rule_relation_builds_no_table_until_read():
     rule = Rule(FuzzySet(u, [1, 0.5, 0]), FuzzySet(v, [0.2, 1]),
                 "variation", "goguen", "product")
     relation = build_relation(rule)
-    assert "degrees" not in vars(relation)
-    assert np.array_equal(relation.degrees, [[0.2, 1], [0.4, 1], [1, 1]])
-    assert not relation.degrees.flags.writeable
-    assert relation.degrees is relation.degrees  # tabulated once
+    assert np.array_equal(relation.rows(slice(None)), [[0.2, 1], [0.4, 1], [1, 1]])
 
 
 def test_rule_relation_checks_its_vectors():
@@ -278,6 +276,32 @@ def test_rule_relation_checks_its_vectors():
         Relation(u, v, a=[0.1, 0.2], b=[0.3], implication="goedel")
     with pytest.raises(ValueError, match="unknown implication"):
         Relation(u, v, a=[0.1, 0.2], b=[0.3, 0.4, 0.5], implication="hamacher")
+
+
+def test_rule_relation_keeps_read_only_copies_of_its_vectors():
+    u, v = universe("u", 2), universe("v", 2)
+    a, b = np.array([0.2, 0.9]), np.array([0.3, 0.6])
+    relation = Relation(u, v, a=a, b=b, implication="kleene_dienes")
+    table = relation.rows(slice(None))
+    image = gmp(relation, FuzzySet(u, [1.0, 0.5]), "minimum").mu
+    a[:] = 2.0  # 1 - a would be -1 in the closed form
+    b[:] = 0.0
+    assert np.array_equal(relation.rows(slice(None)), table)
+    assert np.array_equal(gmp(relation, FuzzySet(u, [1.0, 0.5]), "minimum").mu, image)
+    assert not relation.a.flags.writeable and not relation.b.flags.writeable
+
+
+def test_rule_relation_holds_its_five_fields_and_nothing_else():
+    u, v = universe("u", 3), universe("v", 2)
+    rule = Rule(FuzzySet(u, [1, 0.5, 0]), FuzzySet(v, [0.2, 1]),
+                "variation", "goguen", "product")
+    relation = build_relation(rule)
+    observed = FuzzySet(v, [0.2, 1])
+    gmp(relation, FuzzySet(u, [1, 0, 0]), "product")
+    residual_bound(relation, observed, "product")
+    check_solvability(relation, observed)
+    enumerate_solutions(relation, observed, "product", QuantizedSearch(levels=3))
+    assert set(vars(relation)) == {"u_universe", "v_universe", "a", "b", "implication"}
 
 
 # --- memory and work limits -------------------------------------------------------

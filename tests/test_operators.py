@@ -270,6 +270,11 @@ def test_suite_rejects_mismatched_pairs():
         property_suite("product", "goedel", 11)
 
 
+def test_suite_rejects_an_unknown_tnorm():
+    with pytest.raises(ValueError, match="unknown t-norm 'frank'; choose from"):
+        property_suite("frank", "kleene_dienes", 11)
+
+
 def test_suite_requires_tnorm_for_pure_residuated_implications():
     with pytest.raises(ValueError, match="generating t-norm"):
         property_suite(None, "goedel", 11)

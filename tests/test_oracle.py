@@ -94,7 +94,7 @@ def all_ones(u, v):
 
 def table_relation(u, v, table):
     """Any table as a relation, with the three attributes the oracle reads."""
-    return SimpleNamespace(u_universe=u, v_universe=v, degrees=table)
+    return SimpleNamespace(u_universe=u, v_universe=v, rows=lambda index: table[index])
 
 
 def test_search_bounds_are_enforced():
@@ -271,7 +271,8 @@ def unpruned_scan(relation, b_prime, tnorm, levels):
     target, _ = snap_to_levels(b_prime.mu, levels)
     grid = np.linspace(0.0, 1.0, levels)
     cand = np.array(list(itertools.product(grid, repeat=len(relation.u_universe))))
-    images = np.max(tnorm_fn(tnorm)(cand[:, :, None], relation.degrees[None, :, :]), axis=1)
+    table = relation.rows(slice(None))
+    images = np.max(tnorm_fn(tnorm)(cand[:, :, None], table[None, :, :]), axis=1)
     hits = np.all(np.abs(images - target[None, :]) <= 1e-9, axis=1)
     return [FuzzySet(relation.u_universe, row) for row in cand[hits]]
 
