@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TOL, FuzzySet
+from .core import TOL, FuzzySet, complement
 from .inference import (CERTAINTY, VARIATION, Relation, Rule, build_relation, check_universe,
                         column_sup, gmp, residual_bound)
 from .operators import CONTRAPOSITIVE_S
@@ -76,13 +76,13 @@ def check_solvability(relation: Relation, b_prime: FuzzySet) -> Solvability:
     A passing verdict is "solvable_possibly"; an exact solution may still
     not exist.
     """
-    check_universe(b_prime, relation.v_universe, "observation", "into")
+    check_universe(b_prime, relation.consequent.universe, "observation", "into")
     available = column_sup(relation)
     deficit = b_prime.mu - available
     j = int(np.argmax(deficit))
     if deficit[j] > TOL:
         witness = SolvabilityWitness(
-            point=float(relation.v_universe.grid[j]),
+            point=float(relation.consequent.universe.grid[j]),
             required=float(b_prime.mu[j]),
             available=float(available[j]),
         )
@@ -106,7 +106,9 @@ def abduce_certainty(rule: Rule, b_prime: FuzzySet, tnorm: str) -> AbductionResu
     """Contraposition hypothesis for a certainty rule.
 
     Feeds the observation forward through the flipped rule "if v is
-    not-consequent then u is not-antecedent" with the same implication:
+    not-consequent then u is not-antecedent": the relation from
+    complement(consequent) to complement(antecedent), with the same
+    implication:
 
         hypothesis(u) = max over v of T(b_prime(v), S(1 - B(v), 1 - A(u)))
 
@@ -125,9 +127,8 @@ def abduce_certainty(rule: Rule, b_prime: FuzzySet, tnorm: str) -> AbductionResu
         )
     forward = build_relation(rule)
     solvability = check_solvability(forward, b_prime)
-    contraposed = Relation(rule.consequent.universe, rule.antecedent.universe,
-                           a=1.0 - rule.consequent.mu, b=1.0 - rule.antecedent.mu,
-                           implication=rule.implication)
+    contraposed = Relation(complement(rule.consequent), complement(rule.antecedent),
+                           rule.implication)
     return _result(CERTAINTY_SCHEME, forward, gmp(contraposed, b_prime, tnorm), b_prime,
                    solvability, tnorm)
 

@@ -37,7 +37,7 @@ class Universe:
             raise ValueError(f"universe {self.name!r}: grid must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(grid)):
             raise ValueError(f"universe {self.name!r}: grid points must be finite")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        if not np.all(grid[1:] > grid[:-1]):  # np.diff would overflow on a wide grid
             raise ValueError(f"universe {self.name!r}: grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
 
@@ -61,6 +61,8 @@ def make_universe(name: str, lo: float, hi: float, n: int = 101) -> Universe:
         raise ValueError(f"universe {name!r}: bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"universe {name!r}: lower bound must be below upper, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"universe {name!r}: span hi - lo overflows, got [{lo}, {hi}]")
     if n < 2:
         raise ValueError(f"universe {name!r}: need at least 2 grid points, got {n}")
     if n > MAX_POINTS:

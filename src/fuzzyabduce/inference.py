@@ -91,34 +91,24 @@ MAX_FOLD_CELLS = 100_000_000
 class Relation:
     """A rule's fuzzy relation between two grids: degree (i, j) relates u_i to v_j.
 
-    It holds only the degree vectors a on U and b on V, finite and in [0, 1]
-    as the closed forms assume, each a read-only copy of the caller's, and the
-    name of an implication I, and computes rows of I(a(u), b(v)), clipped to
-    [0, 1], on demand; it never keeps a table.
+    It holds only the two sets, the antecedent A on U and the consequent B on
+    V, whose degrees FuzzySet already keeps finite, in [0, 1] and read-only as
+    the closed forms assume, and the name of an implication I. It computes rows
+    of I(A(u), B(v)), clipped to [0, 1], on demand; it never keeps a table.
     """
 
-    u_universe: Universe
-    v_universe: Universe
-    a: np.ndarray
-    b: np.ndarray
+    antecedent: FuzzySet
+    consequent: FuzzySet
     implication: str
 
     def __post_init__(self):
         implication_fn(self.implication)  # raises on an unknown implication
         object.__setattr__(self, "implication", canonical_name(self.implication))
-        for side, n in (("a", len(self.u_universe)), ("b", len(self.v_universe))):
-            v = np.array(getattr(self, side), dtype=float)  # the one copy
-            if v.shape != (n,):
-                raise ValueError(f"rule relation needs {side} of shape {(n,)}, got {v.shape}")
-            if not 0.0 <= v.min() <= v.max() <= 1.0:  # NaN carries through min and max
-                need = "be finite" if not np.all(np.isfinite(v)) else "lie in [0, 1]"
-                raise ValueError(f"rule relation degrees {side} must {need}")
-            v.setflags(write=False)
-            object.__setattr__(self, side, v)
 
     def rows(self, index) -> np.ndarray:
         """Degrees of the rows at index, a slice or an index array."""
-        rows = implication_fn(self.implication)(self.a[index, None], self.b[None, :])
+        a, b = self.antecedent.mu, self.consequent.mu
+        rows = implication_fn(self.implication)(a[index, None], b[None, :])
         return np.clip(rows, 0.0, 1.0, out=rows)  # a fresh array, clamped in place
 
     def blocks(self, rows=None):
@@ -128,11 +118,12 @@ class Relation:
         counts kept rows. A relation larger than MAX_FOLD_CELLS raises
         ValueError before any row is computed, however few rows are kept.
         """
-        n, m = len(self.u_universe), len(self.v_universe)
+        u, v = self.antecedent.universe, self.consequent.universe
+        n, m = len(u), len(v)
         if n * m > MAX_FOLD_CELLS:
             raise ValueError(
-                f"the {self.implication} relation from {self.u_universe.name!r} ({n} points) "
-                f"to {self.v_universe.name!r} ({m} points) has {n * m} cells, over the "
+                f"the {self.implication} relation from {u.name!r} ({n} points) "
+                f"to {v.name!r} ({m} points) has {n * m} cells, over the "
                 f"limit of {MAX_FOLD_CELLS} for an operation without a closed form; "
                 f"use coarser grids"
             )
@@ -143,9 +134,9 @@ class Relation:
 
 
 def build_relation(rule: Rule) -> Relation:
-    """The rule's implication over the two grids, as a lazy relation."""
-    return Relation(rule.antecedent.universe, rule.consequent.universe,
-                    a=rule.antecedent.mu, b=rule.consequent.mu, implication=rule.implication)
+    """The rule's implication between its own two sets, as a lazy relation;
+    nothing is copied."""
+    return Relation(rule.antecedent, rule.consequent, rule.implication)
 
 
 def check_universe(s: FuzzySet, universe: Universe, what: str, side: str) -> None:
@@ -166,29 +157,29 @@ def gmp(relation: Relation, a_prime: FuzzySet, tnorm: str) -> FuzzySet:
     the full table would, and max is exact in any order, so all give
     identical images.
     """
-    check_universe(a_prime, relation.u_universe, "input", "from")
+    check_universe(a_prime, relation.antecedent.universe, "input", "from")
     kind = canonical_name(tnorm)
     t = tnorm_fn(kind)
-    p = a_prime.mu
+    a, b, p = relation.antecedent.mu, relation.consequent.mu, a_prime.mu
     if relation.implication == "goedel" and kind == "minimum":
-        image = _goedel_minimum_image(relation.a, relation.b, p)
+        image = _goedel_minimum_image(a, b, p)
     elif relation.implication == "kleene_dienes":
         # T distributes over max: T(p, max(1 - a, b)) = max(T(p, 1 - a), T(p, b)),
         # and max over u of T(p(u), b(v)) is T(max p, b(v))
-        image = np.maximum(np.max(t(p, 1.0 - relation.a)), t(np.max(p), relation.b))
+        image = np.maximum(np.max(t(p, 1.0 - a)), t(np.max(p), b))
     else:
         keep = None
         if relation.implication in ANTITONE:
             # row u' dominates row u when a(u') <= a(u) and p(u') >= p(u): as
             # computed, I never rises in a and T never falls in either argument,
             # so a dominated row never exceeds its dominator's and max is exact
-            keep = _undominated(relation.a, p)
+            keep = _undominated(a, p)
             p = p[keep]
         image = None
         for lo, rows in relation.blocks(rows=keep):
             part = np.max(t(p[lo:lo + len(rows), None], rows), axis=0)
             image = part if image is None else np.maximum(image, part, out=image)
-    return FuzzySet(relation.v_universe, image)
+    return FuzzySet(relation.consequent.universe, image)
 
 
 def _undominated(low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -228,10 +219,10 @@ def column_sup(relation: Relation) -> np.ndarray:
     of the all-ones set is each column's supremum.
     """
     if relation.implication in ANTITONE:
-        i = int(np.argmin(relation.a))
+        i = int(np.argmin(relation.antecedent.mu))
         return relation.rows([i])[0]
-    return gmp(relation, FuzzySet(relation.u_universe, np.ones(len(relation.u_universe))),
-               "minimum").mu
+    u = relation.antecedent.universe
+    return gmp(relation, FuzzySet(u, np.ones(len(u))), "minimum").mu
 
 
 def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzySet:
@@ -241,16 +232,16 @@ def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzyS
     for a left-continuous T it is the greatest solution whenever one exists
     (Sanchez 1976). A goedel rule relation under minimum takes a closed form.
     """
-    check_universe(observed, relation.v_universe, "observation", "into")
+    check_universe(observed, relation.consequent.universe, "observation", "into")
     tnorm_fn(tnorm)  # raises on an unknown t-norm
     residuum = RESIDUUM_FOR_TNORM[canonical_name(tnorm)]
     if relation.implication == "goedel" and residuum == "goedel":
-        bound = _goedel_bound(relation.a, relation.b, observed.mu)
+        bound = _goedel_bound(relation.antecedent.mu, relation.consequent.mu, observed.mu)
     else:
         impl = implication_fn(residuum)
         o = observed.mu[None, :]
         bound = np.concatenate([np.min(impl(rows, o), axis=1) for _, rows in relation.blocks()])
-    return FuzzySet(relation.u_universe, bound)
+    return FuzzySet(relation.antecedent.universe, bound)
 
 
 def _goedel_bound(a: np.ndarray, b: np.ndarray, o: np.ndarray) -> np.ndarray:

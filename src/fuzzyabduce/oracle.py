@@ -122,8 +122,8 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
     search space. A level table over _MAX_TABLE_CELLS cells is rejected
     before it, or the relation's rows, is built.
     """
-    check_universe(b_prime, relation.v_universe, "observation", "into")
-    n = len(relation.u_universe)
+    check_universe(b_prime, relation.consequent.universe, "observation", "into")
+    n = len(relation.antecedent.universe)
     if n > search.max_points:
         raise ValueError(
             f"enumeration over {n} grid points exceeds the limit of "
@@ -134,7 +134,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
         raise ValueError(
             f"search space of {total} candidates exceeds the limit of {_MAX_CANDIDATES}"
         )
-    width = len(relation.v_universe)
+    width = len(relation.consequent.universe)
     cells = n * search.levels * width
     if cells > _MAX_TABLE_CELLS:
         raise ValueError(
@@ -157,7 +157,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
     index = np.stack(np.unravel_index(codes, (search.levels,) * n), axis=1)
     matrix = grid[index]  # fancy indexing: a fresh array of levels
     matrix.setflags(write=False)
-    return Solutions(relation.u_universe, matrix)
+    return Solutions(relation.antecedent.universe, matrix)
 
 
 def _hit_codes(points: list, full: np.ndarray, levels: int, covered: np.ndarray,

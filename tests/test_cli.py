@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,29 @@ def test_grid_points_over_the_fold_limit_exits_1_naming_both_universes(capsys, t
     assert code == 1 and out == ""
     assert err.startswith("error: the goguen relation from 'infection' (20000 points) "
                           "to 'fever' (20000 points) has 400000000 cells, over the limit")
+
+
+def test_grid_whose_span_overflows_runs_without_warnings(capsys, tmp_path):
+    # np.diff of this grid overflows to inf; its points still strictly increase
+    path = write_mutated(tmp_path, "temperature.json", lambda d: d.update(
+        universes=[{"name": "temperature", "grid": [-1.7e308, 1.7e308]}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "abduce", "--problem", path)[::2] == (0, "")
+        out = str(tmp_path / "curves.csv")
+        assert run(capsys, "plot", "--problem", path, "--sets", "low,high",
+                   "--out", out)[::2] == (0, "")
+
+
+def test_uniform_universe_whose_span_overflows_exits_1_before_allocating(capsys, tmp_path):
+    path = write_mutated(tmp_path, "temperature.json",
+                         lambda d: d["universes"][0].update(lo=-9e307, hi=9e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "abduce", "--problem", path)
+    assert code == 1 and out == ""
+    assert err == ("error: universes[0]: universe 'temperature': span hi - lo overflows, "
+                   "got [-9e+307, 9e+307]\n")
 
 
 def test_enumerate_rejects_levels_below_2(capsys, temperature_path):

@@ -89,9 +89,10 @@ def test_fuzzyset_rejects_length_mismatch():
         fs([0, 1, 2], [0.5, 0.5])
 
 
-def test_fuzzyset_rejects_nan():
-    with pytest.raises(ValueError):
-        fs([0, 1], [float("nan"), 0])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_fuzzyset_rejects_nan(value):
+    with pytest.raises(ValueError, match="must be finite"):
+        fs([0, 1], [value, 0])
 
 
 def test_fuzzyset_degrees_are_read_only():

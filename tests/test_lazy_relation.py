@@ -104,7 +104,7 @@ def test_image_equals_the_full_table(drawn, impl, tnorm):
     u, v = universe("u", len(a)), universe("v", len(b))
     table = dense(a, b, impl)
     want = dense_image(table, p, tnorm)
-    lazy = Relation(u, v, a=a, b=b, implication=impl)
+    lazy = Relation(FuzzySet(u, a), FuzzySet(v, b), impl)
     assert np.array_equal(gmp(lazy, FuzzySet(u, p), tnorm).mu, want)
     assert np.array_equal(lazy.rows(slice(None)), table)
 
@@ -116,7 +116,7 @@ def test_column_supremum_equals_the_full_table(drawn, impl):
     u, v = universe("u", len(a)), universe("v", len(b))
     table = dense(a, b, impl)
     want = np.max(table, axis=0)
-    lazy = Relation(u, v, a=a, b=b, implication=impl)
+    lazy = Relation(FuzzySet(u, a), FuzzySet(v, b), impl)
     assert np.array_equal(column_sup(lazy), want)
     ones = FuzzySet(u, np.ones(len(a)))
     assert np.array_equal(gmp(lazy, ones, "minimum").mu, want)
@@ -195,7 +195,7 @@ def test_pruned_folds_equal_the_full_table_at_the_extremes(case, impl, tnorm):
     o = B_TIED if case == "rising" else np.full(len(POINTS), 0.7)
     rows = _undominated(A_TIED, p)
     assert len(rows) == (len(np.unique(A_TIED)) if case == "rising" else 1)
-    relation = Relation(u, v, a=A_TIED, b=B_TIED, implication=impl)
+    relation = Relation(FuzzySet(u, A_TIED), FuzzySet(v, B_TIED), impl)
     table = dense(A_TIED, B_TIED, impl)
     image = gmp(relation, FuzzySet(u, p), tnorm).mu
     bound = residual_bound(relation, FuzzySet(v, o), tnorm).mu
@@ -221,13 +221,13 @@ def test_residual_bound_equals_the_full_table(drawn, impl, tnorm):
     table = dense(a, b, impl)
     want = dense_bound(table, o, RESIDUUM_FOR_TNORM[tnorm])
     observed = FuzzySet(v, o)
-    assert np.array_equal(residual_bound(Relation(u, v, a=a, b=b, implication=impl),
-                                         observed, tnorm).mu, want)
+    relation = Relation(FuzzySet(u, a), FuzzySet(v, b), impl)
+    assert np.array_equal(residual_bound(relation, observed, tnorm).mu, want)
 
 
 def test_residual_bound_checks_the_observation_universe():
     u, v = universe("u", 2), universe("v", 2)
-    relation = Relation(u, v, a=np.ones(2), b=np.ones(2), implication="goedel")
+    relation = Relation(FuzzySet(u, np.ones(2)), FuzzySet(v, np.ones(2)), "goedel")
     with pytest.raises(UniverseMismatchError, match="maps into 'v'"):
         residual_bound(relation, FuzzySet(u, [0.5, 0.5]), "minimum")
 
@@ -270,28 +270,28 @@ def test_rule_relation_builds_no_table_until_read():
     assert np.array_equal(relation.rows(slice(None)), [[0.2, 1], [0.4, 1], [1, 1]])
 
 
-def test_rule_relation_checks_its_vectors():
+def test_rule_relation_checks_its_implication():
     u, v = universe("u", 2), universe("v", 3)
-    with pytest.raises(ValueError, match="shape"):
-        Relation(u, v, a=[0.1, 0.2], b=[0.3], implication="goedel")
     with pytest.raises(ValueError, match="unknown implication"):
-        Relation(u, v, a=[0.1, 0.2], b=[0.3, 0.4, 0.5], implication="hamacher")
+        Relation(FuzzySet(u, [0.1, 0.2]), FuzzySet(v, [0.3, 0.4, 0.5]), "hamacher")
 
 
 def test_rule_relation_keeps_read_only_copies_of_its_vectors():
+    # the sets copy the caller's arrays; the relation reads only the sets
     u, v = universe("u", 2), universe("v", 2)
     a, b = np.array([0.2, 0.9]), np.array([0.3, 0.6])
-    relation = Relation(u, v, a=a, b=b, implication="kleene_dienes")
+    relation = Relation(FuzzySet(u, a), FuzzySet(v, b), "kleene_dienes")
     table = relation.rows(slice(None))
     image = gmp(relation, FuzzySet(u, [1.0, 0.5]), "minimum").mu
     a[:] = 2.0  # 1 - a would be -1 in the closed form
     b[:] = 0.0
     assert np.array_equal(relation.rows(slice(None)), table)
     assert np.array_equal(gmp(relation, FuzzySet(u, [1.0, 0.5]), "minimum").mu, image)
-    assert not relation.a.flags.writeable and not relation.b.flags.writeable
+    assert not relation.antecedent.mu.flags.writeable
+    assert not relation.consequent.mu.flags.writeable
 
 
-def test_rule_relation_holds_its_five_fields_and_nothing_else():
+def test_rule_relation_holds_its_three_fields_and_nothing_else():
     u, v = universe("u", 3), universe("v", 2)
     rule = Rule(FuzzySet(u, [1, 0.5, 0]), FuzzySet(v, [0.2, 1]),
                 "variation", "goguen", "product")
@@ -301,7 +301,8 @@ def test_rule_relation_holds_its_five_fields_and_nothing_else():
     residual_bound(relation, observed, "product")
     check_solvability(relation, observed)
     enumerate_solutions(relation, observed, "product", QuantizedSearch(levels=3))
-    assert set(vars(relation)) == {"u_universe", "v_universe", "a", "b", "implication"}
+    assert set(vars(relation)) == {"antecedent", "consequent", "implication"}
+    assert relation.antecedent is rule.antecedent and relation.consequent is rule.consequent
 
 
 # --- memory and work limits -------------------------------------------------------
@@ -343,6 +344,14 @@ def test_1001_point_calls_stay_under_8_mb(semantics, impl, tnorm):
         assert peak_mb(lambda: abduce_variation(rule, observed)) < 8
     else:
         assert peak_mb(lambda: abduce_certainty(rule, observed, tnorm)) < 8
+
+
+def test_building_a_million_point_relation_copies_no_degrees():
+    # the relation holds the rule's own sets; copies of A and B would be 16 MB
+    u = Universe("u", np.arange(10 ** 6, dtype=float))
+    rule = Rule(FuzzySet(u, np.linspace(0, 1, 10 ** 6)), FuzzySet(u, np.linspace(1, 0, 10 ** 6)),
+                "certainty", "reichenbach", "product")
+    assert peak_mb(lambda: build_relation(rule)) < 1
 
 
 def test_wide_relations_fold_one_row_at_a_time():

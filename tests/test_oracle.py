@@ -89,12 +89,13 @@ def test_snap_of_empty_vector():
 
 def all_ones(u, v):
     """The goedel rule relation of an empty antecedent: every degree is 1."""
-    return Relation(u, v, a=np.zeros(len(u)), b=np.ones(len(v)), implication="goedel")
+    return Relation(FuzzySet(u, np.zeros(len(u))), FuzzySet(v, np.ones(len(v))), "goedel")
 
 
 def table_relation(u, v, table):
     """Any table as a relation, with the three attributes the oracle reads."""
-    return SimpleNamespace(u_universe=u, v_universe=v, rows=lambda index: table[index])
+    return SimpleNamespace(antecedent=SimpleNamespace(universe=u),
+                           consequent=SimpleNamespace(universe=v), rows=lambda index: table[index])
 
 
 def test_search_bounds_are_enforced():
@@ -126,14 +127,13 @@ class Points:
 
 
 class UnreadRelation:
-    """A relation stand-in whose degrees fail the test if read."""
+    """A relation stand-in whose rows fail the test if read."""
 
     def __init__(self, u, v):
-        self.u_universe, self.v_universe = u, v
+        self.antecedent, self.consequent = SimpleNamespace(universe=u), SimpleNamespace(universe=v)
 
-    @property
-    def degrees(self):
-        raise AssertionError("the relation's degrees were read")
+    def rows(self, index):
+        raise AssertionError("the relation's rows were read")
 
 
 def test_level_table_over_the_cell_limit_is_rejected_before_it_is_built():
@@ -198,7 +198,7 @@ def test_solutions_read_as_a_sequence_of_sets():
 def test_solution_matrix_is_read_only_and_empty_when_nothing_solves():
     relation = build_relation(goedel_rule())
     solutions = enumerate_solutions(relation, FuzzySet(V2, [0.8, 0.2]), "minimum")
-    assert solutions.universe is relation.u_universe
+    assert solutions.universe is relation.antecedent.universe
     assert solutions.matrix.shape == (35, 2) and solutions.matrix.dtype == float
     with pytest.raises(ValueError):
         solutions.matrix[0, 0] = 0.5
@@ -217,14 +217,14 @@ def test_every_solution_is_the_set_its_row_builds():
     items = list(solutions) + [solutions[i] for i in range(-len(solutions), len(solutions))]
     for s in items:
         assert type(s) is FuzzySet and not hasattr(s, "__dict__")
-        assert s.universe is relation.u_universe
+        assert s.universe is relation.antecedent.universe
         assert s.mu.shape == (2,) and not s.mu.flags.writeable
         with pytest.raises(ValueError):
             s.mu[0] = 0.9
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.mu = np.zeros(2)
     for s, row in zip(solutions, solutions.matrix):
-        assert s.mu.tobytes() == FuzzySet(relation.u_universe, row).mu.tobytes()
+        assert s.mu.tobytes() == FuzzySet(relation.antecedent.universe, row).mu.tobytes()
 
 
 @given(st.data())
@@ -270,11 +270,11 @@ def unpruned_scan(relation, b_prime, tnorm, levels):
     the pruned oracle must reproduce exactly."""
     target, _ = snap_to_levels(b_prime.mu, levels)
     grid = np.linspace(0.0, 1.0, levels)
-    cand = np.array(list(itertools.product(grid, repeat=len(relation.u_universe))))
+    cand = np.array(list(itertools.product(grid, repeat=len(relation.antecedent.universe))))
     table = relation.rows(slice(None))
     images = np.max(tnorm_fn(tnorm)(cand[:, :, None], table[None, :, :]), axis=1)
     hits = np.all(np.abs(images - target[None, :]) <= 1e-9, axis=1)
-    return [FuzzySet(relation.u_universe, row) for row in cand[hits]]
+    return [FuzzySet(relation.antecedent.universe, row) for row in cand[hits]]
 
 
 @given(st.data())
@@ -312,7 +312,7 @@ def assert_matches_unpruned_scan(relation, target, t_kind, levels):
         with patch.object(oracle, "_CHUNK", chunk):
             got = enumerate_solutions(relation, target, t_kind, QuantizedSearch(levels=levels))
         assert [s.mu.tobytes() for s in got] == want, f"_CHUNK={chunk}"
-        assert all(s.universe is relation.u_universe and not s.mu.flags.writeable
+        assert all(s.universe is relation.antecedent.universe and not s.mu.flags.writeable
                    for s in got)
         assert not got.matrix.flags.writeable and not np.any(np.signbit(got.matrix))
     return len(want)
