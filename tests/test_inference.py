@@ -72,17 +72,44 @@ def test_relation_vacuous_antecedent_is_all_ones():
     assert np.array_equal(r.rows(slice(None)), np.ones((2, 2)))
 
 
-def test_relation_of_clamped_sets_equals_the_dense_table():
-    # FuzzySet clamps a raw antecedent degree of -0.5 to 0, so the kleene_dienes
-    # closed form sees the same degrees as the table: 1 - (-0.5) would make the
-    # image of 0.5 under product max(0.5 * 1.5, 0.5 * 0.2) = 0.75, not 0.5
-    a, b = FuzzySet(U2, [0.5, -0.5]), FuzzySet(V2, [0.2, 0.4])
-    relation = Relation(a, b, "kleene_dienes")
-    table = relation.rows(slice(None))
+def test_relation_shape_validation():
+    # a relation is built from FuzzySets, which check their vectors on the way in
+    with pytest.raises(ValueError, match="values for the 2-point universe 'u'"):
+        Relation(FuzzySet(U2, np.zeros(3)), FuzzySet(V2, np.zeros(2)), "goedel")
+    with pytest.raises(ValueError, match="finite"):
+        Relation(FuzzySet(U2, [np.nan, 0.5]), FuzzySet(V2, [0.2, 0.4]), "goguen")
+    with pytest.raises(ValueError, match="finite"):
+        Relation(FuzzySet(U2, [0.3, 0.5]), FuzzySet(V2, [0.2, np.inf]), "goguen")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_relation_rejects_non_finite_degrees(side, value):
+    degrees = {"a": [0.3, 0.5], "b": [0.2, 0.4]}
+    degrees[side] = [value, 0.5]
+    name = "u" if side == "a" else "v"
+    with pytest.raises(ValueError, match=f"degrees on '{name}' must be finite"):
+        Relation(FuzzySet(U2, degrees["a"]), FuzzySet(V2, degrees["b"]), "goguen")
+
+
+@pytest.mark.parametrize("value", [-0.5, -1e-300, 1.5, np.nextafter(1.0, 2.0)])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_relation_of_clamped_sets_equals_the_dense_table(side, value):
+    # FuzzySet clamps raw degrees outside [0, 1], so the kleene_dienes closed
+    # form sees the same degrees as the clipped table: a raw antecedent degree
+    # of -0.5 clamps to 0, where 1 - (-0.5) would make the image of 0.5 under
+    # product max(0.5 * 1.5, 0.5 * 0.2) = 0.75, not 0.5
+    degrees = {"a": [0.3, 0.5], "b": [0.2, 0.4]}
+    degrees[side] = [0.5, value]
+    relation = Relation(FuzzySet(U2, degrees["a"]), FuzzySet(V2, degrees["b"]), "kleene_dienes")
+    a, b = np.clip(degrees["a"], 0.0, 1.0), np.clip(degrees["b"], 0.0, 1.0)
+    table = np.maximum(1.0 - a[:, None], b[None, :])
+    assert np.array_equal(relation.rows(slice(None)), table)
     p = FuzzySet(U2, [0.5, 0.5])
     want = np.max(p.mu[:, None] * table, axis=0)
     assert np.array_equal(gmp(relation, p, "product").mu, want)
-    assert np.array_equal(want, [0.5, 0.5])
+    if (side, value) == ("a", -0.5):
+        assert np.array_equal(want, [0.5, 0.5])
 
 
 # --- forward inference -------------------------------------------------------
