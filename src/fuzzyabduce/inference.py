@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FuzzySet, Universe, UniverseMismatchError
+from .core import BLOCK_CELLS, FuzzySet, Universe, UniverseMismatchError
 from .operators import (
     ANTITONE,
     RESIDUUM_FOR_TNORM,
@@ -73,13 +73,6 @@ class Rule:
                     f"{impl!r} goes with {TNORM_FOR_RESIDUUM[impl]!r}, got {t!r}"
                 )
 
-
-#: degrees in one block of a folded relation: 2**14 doubles, 128 KB, which
-#: glibc serves from the heap below its default mmap threshold. A block and
-#: its temporaries then stay in a core's cache and are never page-faulted
-#: afresh; 2**15 and 2**16 cells faulted 27,900 and 17,200 times per
-#: dense_grid cycle, against 629 here. 16 rows at 1001 points.
-BLOCK_CELLS = 1 << 14
 
 #: largest |U|*|V| a rule relation is folded over when its operation has no
 #: closed form; about a second of numpy work per fold, where the table itself

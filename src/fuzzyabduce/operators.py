@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import TOL
+from .core import BLOCK_CELLS, TOL
 
 
 def canonical_name(kind: str) -> str:
@@ -151,16 +151,25 @@ def implication(kind: str, a: float, b: float) -> float:
     return float(np.clip(value, 0.0, 1.0))
 
 
-def _residuum_scan(t: Callable, a: float, bs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """For each b of bs, the largest z of the increasing grid zs with T(a, z) <= b,
-    or 0.0 where there is none.
+def _residuum_scan(t: Callable, as_: np.ndarray, bs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """For each a of as_ (a row) and b of bs (a column), the largest z of the
+    increasing grid zs with T(a, z) <= b, or 0.0 where there is none.
 
     The suffix minimum of T(a, zs) never falls as z grows, and it is <= b up
     to the last z with T(a, z) <= b and above b after it. So a bisection finds
-    that z exactly, whether or not T rounds monotonically in z.
+    that z exactly, whether or not T rounds monotonically in z. The rows
+    T(a, zs) are tabulated in blocks of about BLOCK_CELLS degrees, and a block
+    whose rows all are nondecreasing is its own suffix minimum.
     """
-    floor = np.minimum.accumulate(t(a, zs)[::-1])[::-1]
-    last = np.searchsorted(floor, bs, side="right") - 1
+    last = np.empty((len(as_), len(bs)), dtype=np.intp)
+    step = max(1, BLOCK_CELLS // len(zs))
+    for lo in range(0, len(as_), step):
+        rows = t(as_[lo:lo + step, None], zs[None, :])
+        if not np.all(rows[:, 1:] >= rows[:, :-1]):
+            rows = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
+        for k, row in enumerate(rows, lo):
+            last[k] = row.searchsorted(bs, side="right")
+    last -= 1
     return np.where(last >= 0, zs[last], 0.0)
 
 
@@ -174,18 +183,18 @@ def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int = 1001) -> 
     if levels < 2:
         raise ValueError(f"residuum oracle needs at least 2 levels, got {levels}")
     fn = tnorm_fn(tnorm_kind)
-    av = _check_degree("a", a)
+    as_ = np.array([_check_degree("a", a)])
     bs = np.array([_check_degree("b", b)])
-    return float(_residuum_scan(fn, av, bs, np.linspace(0.0, 1.0, levels))[0])
+    return float(_residuum_scan(fn, as_, bs, np.linspace(0.0, 1.0, levels))[0, 0])
 
 
 def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: int) -> float:
     """Largest gap between a closed-form implication and residuum_oracle
     over the points x points grid of degrees a, b = i / (points - 1).
 
-    Scans one a at a time against every b, stacks the scanned rows and
-    compares them with the closed form in one pass, so the largest
-    temporaries hold points x points values.
+    Scans every a against every b in blocks of a and compares the scanned
+    matrix with the closed form in one pass, so the largest temporaries hold
+    points x points values or one block of the scan.
     """
     if points < 2 or levels < 2:
         raise ValueError(f"residuum scan needs at least 2 points and 2 levels, "
@@ -193,8 +202,7 @@ def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: in
     t = tnorm_fn(tnorm_kind)
     impl = implication_fn(implication_kind)
     g = np.arange(points) / (points - 1)
-    zs = np.linspace(0.0, 1.0, levels)
-    scanned = np.stack([_residuum_scan(t, a, g, zs) for a in g])
+    scanned = _residuum_scan(t, g, g, np.linspace(0.0, 1.0, levels))
     return float(np.max(np.abs(np.clip(impl(g[:, None], g[None, :]), 0.0, 1.0) - scanned)))
 
 

@@ -12,9 +12,11 @@ row never exceeds the observation by more than the tolerance, and it covers the
 v where its row reaches the observation within the tolerance. The solutions are
 exactly the candidates of admissible levels whose rows together cover every v
 (see enumerate_solutions). Candidates grow one grid point at a time over
-admissible levels, as integer codes beside packed cover bits, and in blocks, so
-memory stays bounded however many candidates there are. The solutions come back
-as one degree matrix (Solutions), read as fuzzy sets only where a caller reads one.
+admissible levels, and in blocks, so memory stays bounded however many
+candidates there are. Each candidate is an integer code, one fixed-width bit
+field per placed point holding its level index, beside its packed cover bits.
+The solutions come back as one degree matrix (Solutions), read as fuzzy sets
+only where a caller reads one.
 """
 from __future__ import annotations
 
@@ -129,10 +131,11 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
             f"enumeration over {n} grid points exceeds the limit of "
             f"{search.max_points}; use a smaller universe or raise max_points"
         )
-    total = search.levels ** n
-    if total > _MAX_CANDIDATES:
+    if search.levels ** n > _MAX_CANDIDATES:
+        # the count itself can pass the 4,300 digits that str() of an int allows
         raise ValueError(
-            f"search space of {total} candidates exceeds the limit of {_MAX_CANDIDATES}"
+            f"search space of {search.levels} levels at each of {n} grid points "
+            f"exceeds the limit of {_MAX_CANDIDATES} candidates"
         )
     width = len(relation.consequent.universe)
     cells = n * search.levels * width
@@ -149,35 +152,44 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
     points = [(picks, covers[u, picks])
               for u, picks in enumerate(map(np.flatnonzero, admissible))]
     full = np.packbits(np.ones(width, dtype=bool))
+    # a code holds each placed point's level index in a field of bits bits,
+    # the first point's highest. levels ** n <= 10**7 < 2**24 and
+    # bits <= log2(levels) + 1, so bits * n <= 24 + n <= 47 (2**n <= 10**7
+    # bounds n by 23): every code fits an int64
+    bits = (search.levels - 1).bit_length()
     # start from the empty prefix, code 0, which covers no v
-    hits = list(_hit_codes(points, full, search.levels,
+    hits = list(_hit_codes(points, full, bits,
                            np.zeros((1, full.size), dtype=np.uint8),
                            np.zeros(1, dtype=np.int64)))
     codes = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
-    index = np.stack(np.unravel_index(codes, (search.levels,) * n), axis=1)
-    matrix = grid[index]  # fancy indexing: a fresh array of levels
+    matrix = np.empty((len(codes), n))
+    for u in range(n):
+        index = codes >> (bits * (n - 1 - u))
+        index &= (1 << bits) - 1
+        matrix[:, u] = grid[index]
     matrix.setflags(write=False)
     return Solutions(relation.antecedent.universe, matrix)
 
 
-def _hit_codes(points: list, full: np.ndarray, levels: int, covered: np.ndarray,
+def _hit_codes(points: list, full: np.ndarray, bits: int, covered: np.ndarray,
                codes: np.ndarray):
     """Yield blocks of matching candidates' codes, in lexicographic order.
 
-    codes holds the prefixes placed so far as mixed-radix integers (first
-    point most significant) and covered the OR of their cover rows; points
-    holds, for each point still to place, its admissible levels in ascending
-    order and their cover rows. full is the cover row of every v.
+    codes holds the prefixes placed so far, each point's level index in a
+    field of bits bits (first point most significant), so codes order as the
+    prefixes do; covered holds the OR of their cover rows. points holds, for
+    each point still to place, its admissible levels in ascending order and
+    their cover rows. full is the cover row of every v.
     """
     picks, rows = points[0]
     step = max(1, _CHUNK // (len(picks) or 1))
     for lo in range(0, len(codes), step):
         grown = (covered[lo:lo + step, None, :] | rows).reshape(-1, full.size)
-        grown_codes = (codes[lo:lo + step, None] * levels + picks).ravel()
+        grown_codes = ((codes[lo:lo + step, None] << bits) | picks).ravel()
         if len(points) == 1:
             yield grown_codes[np.all(grown == full, axis=1)]
         else:
-            yield from _hit_codes(points[1:], full, levels, grown, grown_codes)
+            yield from _hit_codes(points[1:], full, bits, grown, grown_codes)
 
 
 def greatest_enumerated(solutions: Solutions) -> FuzzySet | None:

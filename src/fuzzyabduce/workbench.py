@@ -156,6 +156,16 @@ def _unique_keys(pairs: list, path: str) -> dict:
     return obj
 
 
+def _parse_int(text: str, path: str) -> int:
+    """An integer literal; int() refuses one of more than 4,300 digits with a
+    bare ValueError that would name neither the file nor the cause."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ProblemError(f"{path}: integer literal of {len(text)} characters "
+                           f"is too long to parse") from exc
+
+
 def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
     """Parse and validate a problem file.
 
@@ -164,7 +174,8 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
+            data = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, path),
+                             parse_int=lambda text: _parse_int(text, path))
         except json.JSONDecodeError as exc:
             raise ProblemError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

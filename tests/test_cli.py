@@ -434,22 +434,36 @@ def test_enumerate_rejects_levels_below_2(capsys, temperature_path):
     assert err.startswith("error:") and "at least 2 levels" in err
 
 
-# 1 followed by 400 zeros: too large for a float, so the candidate limit must
-# reject it before the observation is snapped to that many levels
-HUGE_LEVELS = 10 ** 400
+# 1 followed by 400 zeros is too large for a float, so the candidate limit must
+# reject it before the observation is snapped to that many levels; at 1,000
+# zeros the 5-point search space has more digits than str() of an int allows
+HUGE_LEVELS = (10 ** 400, 10 ** 1000)
 
 
 @pytest.mark.parametrize("source", ["flag", "task"])
 def test_enumerate_rejects_levels_too_large_for_a_float(capsys, tmp_path, source):
-    if source == "flag":
-        argv = ["--problem", bundled_problem("temperature.json"), "--levels", str(HUGE_LEVELS)]
-    else:
-        argv = ["--problem", write_mutated(tmp_path, "temperature.json",
-                                           lambda d: d["task"].update(levels=HUGE_LEVELS))]
-    code, out, err = run(capsys, "enumerate", *argv)
+    for levels in HUGE_LEVELS:
+        if source == "flag":
+            argv = ["--problem", bundled_problem("temperature.json"), "--levels", str(levels)]
+        else:
+            argv = ["--problem", write_mutated(tmp_path, "temperature.json",
+                                               lambda d: d["task"].update(levels=levels))]
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: search space of") and "exceeds the limit" in err
+        assert len(err.splitlines()) == 1
+
+
+def test_problem_file_integer_beyond_the_string_limit_exits_1(capsys, tmp_path):
+    # json.load would raise a ValueError that names neither the file nor the cause
+    text = Path(write_mutated(tmp_path, "temperature.json",
+                              lambda d: d["task"].update(levels=7))).read_text(encoding="utf-8")
+    assert text.count('"levels": 7') == 1
+    path = tmp_path / "long_levels.json"
+    path.write_text(text.replace('"levels": 7', '"levels": 1' + "0" * 4999), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--problem", str(path))
     assert code == 1 and out == ""
-    assert err.startswith("error: search space of") and "exceeds the limit" in err
-    assert len(err.splitlines()) == 1
+    assert err == f"error: {path}: integer literal of 5000 characters is too long to parse\n"
 
 
 def test_enumerate_rejects_a_level_table_over_its_cell_limit(capsys, tmp_path):

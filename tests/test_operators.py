@@ -1,10 +1,13 @@
 """Operator algebra: t-norms, implication families, property suite."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzyabduce
+from fuzzyabduce.core import BLOCK_CELLS
 from fuzzyabduce.operators import (
     CONTRAPOSITIVE_S,
     IMPLICATIONS,
@@ -178,19 +181,27 @@ EDGE_DEGREES = (0.0, float(np.nextafter(0.0, 1.0)), float(np.finfo(float).tiny),
 
 
 @given(st.sampled_from(sorted(TNORMS)),
-       st.one_of(st.sampled_from(EDGE_DEGREES), st.floats(0, 1)),
+       st.lists(st.one_of(st.sampled_from(EDGE_DEGREES), st.floats(0, 1)), min_size=1, max_size=3),
        st.integers(2, 4097),
-       st.lists(st.floats(0, 1), max_size=8))
+       st.lists(st.floats(0, 1), max_size=8),
+       st.data())
 @settings(max_examples=150, deadline=None)
-def test_residuum_scan_equals_its_definition(t_name, a, levels, extra):
+def test_residuum_scan_equals_its_definition(t_name, drawn, levels, extra, data):
     t = TNORMS[t_name]
     zs = np.linspace(0.0, 1.0, levels)
-    row = t(a, zs)
-    # every T(a, z) is a b where the answer steps, so each tie is drawn, and
-    # the floats just below them fall on the other side; a b below 0 has no z
+    row = t(drawn[0], zs)
+    # every T(a, z) of the first drawn a is a b where its answer steps, so each
+    # tie is drawn, and the floats just below them fall on the other side; a b
+    # below 0 has no z
     bs = np.concatenate([row, np.nextafter(row, -1.0), extra, [-1.0]])
-    got = _residuum_scan(t, a, bs, zs)
-    assert got.tobytes() == scan_by_definition(t, a, bs, zs).tobytes()
+    # the drawn degrees and EDGE_DEGREES over and over, on more rows than one
+    # block of the scan holds
+    degrees = [*drawn, *EDGE_DEGREES]
+    step = BLOCK_CELLS // levels
+    as_ = np.resize(degrees, data.draw(st.integers(step + 1, 3 * step), label="rows"))
+    got = _residuum_scan(t, as_, bs, zs)
+    want = [scan_by_definition(t, a, bs, zs).tobytes() for a in degrees]
+    assert [r.tobytes() for r in got] == [want[k % len(degrees)] for k in range(len(as_))]
 
 
 def test_residuum_scan_does_not_need_a_monotone_row():
@@ -200,12 +211,31 @@ def test_residuum_scan_does_not_need_a_monotone_row():
     # for b = 0.2 and 0.5)
     row = np.array([0.0, 0.1, 0.9, 0.8, 0.9, 0.6, 0.2, 0.7, 1.0])
     zs = np.linspace(0.0, 1.0, row.size)
-    t = lambda a, z: a * row  # noqa: E731
+    # a = 1 takes the dipping row, any other a the rising row a * z; the one
+    # a = 1 sits in the second of three blocks, so only that block takes the
+    # suffix minimum
+    t = lambda a, z: np.where(a == 1.0, row, a * z)  # noqa: E731
+    step = BLOCK_CELLS // row.size
+    as_ = np.linspace(0.0, 0.5, 3 * step)
+    as_[step + 7] = 1.0
     bs = np.array([-0.1, 0.0, 0.05, 0.1, 0.15, 0.2, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-    got = _residuum_scan(t, 1.0, bs, zs)
-    assert got.tobytes() == scan_by_definition(t, 1.0, bs, zs).tobytes()
+    got = _residuum_scan(t, as_, bs, zs)
+    want = np.array([scan_by_definition(t, a, bs, zs) for a in as_])
+    assert got.tobytes() == want.tobytes()
     last = [None, 0, 0, 1, 1, 6, 6, 6, 7, 7, 7, 8]
-    assert np.array_equal(got, [0.0 if k is None else zs[k] for k in last])
+    assert np.array_equal(got[step + 7], [0.0 if k is None else zs[k] for k in last])
+
+
+@pytest.mark.parametrize("t_name, impl_name", sorted(RESIDUUM_FOR_TNORM.items()))
+def test_residuum_gap_scans_in_blocks(t_name, impl_name):
+    # check-ops' grid: one 101 x 1001 table would take 0.8 MB per temporary
+    tracemalloc.start()
+    try:
+        residuum_gap(t_name, impl_name, 101, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 @given(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False),

@@ -265,6 +265,11 @@ def test_enumeration_agrees_with_a_naive_filter(data):
         assert top is None
 
 
+#: level counts on both sides of each step in a code's field width,
+#: (levels - 1).bit_length(): 1, 2, 2, 3, 3, 4, 4, 4 and 5 bits
+FIELD_LEVELS = [2, 3, 4, 5, 8, 9, 11, 16, 17]
+
+
 def unpruned_scan(relation, b_prime, tnorm, levels):
     """Every candidate's full image, tested in lexicographic order: the scan
     the pruned oracle must reproduce exactly."""
@@ -285,7 +290,7 @@ def test_pruned_scan_matches_the_unpruned_scan(data):
     have solutions) or arbitrary degrees."""
     m = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(1, 4))
-    levels = data.draw(st.sampled_from([3, 5, 11]))
+    levels = data.draw(st.sampled_from(FIELD_LEVELS))
     t_kind = data.draw(st.sampled_from(["minimum", "product", "lukasiewicz"]))
     degree = st.floats(0, 1, allow_nan=False)
     quantized = data.draw(st.booleans())
@@ -327,7 +332,7 @@ def test_every_block_size_gives_the_same_matrix(data):
     several blocks."""
     m = data.draw(st.integers(1, 5))
     n = data.draw(st.integers(1, 6))
-    levels = data.draw(st.sampled_from([2, 3, 5, 11]))
+    levels = data.draw(st.sampled_from(FIELD_LEVELS))
     t_kind = data.draw(st.sampled_from(["minimum", "product", "lukasiewicz"]))
     q = st.sampled_from([i / (levels - 1) for i in range(levels)])
     degree = q if data.draw(st.booleans()) else st.floats(0, 1, allow_nan=False)
@@ -358,7 +363,7 @@ def test_cover_rows_match_the_unpruned_scan_across_byte_boundaries(width, data):
     on both sides of the first two byte boundaries, and any width up to 20."""
     n = width or data.draw(st.integers(1, 20))
     m = data.draw(st.integers(1, 3))
-    levels = data.draw(st.sampled_from([2, 3, 5, 11]))
+    levels = data.draw(st.sampled_from(FIELD_LEVELS))
     t_kind = data.draw(st.sampled_from(["minimum", "product", "lukasiewicz"]))
     q = st.sampled_from([i / (levels - 1) for i in range(levels)])
     degree = q if data.draw(st.booleans()) else st.floats(0, 1, allow_nan=False)
@@ -400,6 +405,37 @@ def test_a_point_with_no_admissible_level_leaves_no_solution(width):
     assert assert_matches_unpruned_scan(relation, target, "lukasiewicz", 11) == 0
     r[1, -1] = 1.0  # back in [0, 1]: the second point admits levels 0 to 0.2 again
     assert assert_matches_unpruned_scan(relation, target, "lukasiewicz", 11) > 0
+
+
+@pytest.mark.parametrize("levels, picks", [
+    # 23 one-bit fields, the most points 2 levels admit
+    (2, [1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1]),
+    # 10 three-bit fields, 30 bits, the widest code of any level count; the
+    # first point's level 4 sets the code's top bit
+    (5, [4, 0, 2, 1, 4, 0, 3, 0, 1, 4]),
+])
+def test_widest_codes_decode_to_their_levels(levels, picks):
+    """R is the identity and B'(v_u) the level picked at u, so point u admits
+    the levels up to its pick (a row of level x holds x at v_u and 0 elsewhere)
+    and only its pick covers v_u. The one solution is the picks themselves.
+    The unpruned scan of levels**n candidates would hold n * levels**n degrees
+    (1.5 GB at 2**23), so it is replaced by its verdict on this instance: a
+    level over a pick raises the image over B' at v_u, and every candidate
+    within the picks is tested here by its full image."""
+    n = len(picks)
+    grid = np.linspace(0.0, 1.0, levels)
+    u = Universe("u", np.arange(n, dtype=float))
+    v = Universe("v", np.arange(n, dtype=float))
+    relation, target = table_relation(u, v, np.eye(n)), FuzzySet(v, grid[picks])
+    within = np.array(list(itertools.product(*(grid[:p + 1] for p in picks))))
+    hits = within[np.all(np.abs(within - target.mu) <= 1e-9, axis=1)]  # the image of x is x
+    assert hits.tobytes() == grid[picks].tobytes()
+    search = QuantizedSearch(levels=levels, max_points=n)
+    assert (levels - 1).bit_length() * n in (23, 30)
+    for chunk in (oracle._CHUNK, 1, 7, 121):
+        with patch.object(oracle, "_CHUNK", chunk):
+            got = enumerate_solutions(relation, target, "product", search)
+        assert got.matrix.tobytes() == hits.tobytes(), f"_CHUNK={chunk}"
 
 
 def test_unprunable_wide_instance_stays_within_its_memory_bound():
