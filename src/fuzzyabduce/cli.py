@@ -9,13 +9,13 @@ import argparse
 import sys
 
 from .abduction import UNSOLVABLE, abduce_certainty, abduce_variation
+from .core import TOL
 from .inference import CERTAINTY, build_relation, gmp
 from .operators import RESIDUUM_FOR_TNORM, S_IMPLICATIONS, property_suite, residuum_gap
 from .oracle import QuantizedSearch, enumerate_solutions, greatest_enumerated, snap_to_levels
 from .workbench import (
     FAULT_COMPONENT,
     ProblemError,
-    TaskConfig,
     emit_plot_data,
     format_degrees,
     load_problem,
@@ -70,13 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--rule", default=None)
     p.add_argument("--observation", default=None)
-    p.add_argument("--levels", type=int, default=None, help="quantization levels (default 11)")
-    p.add_argument("--max-points", type=int, default=5)
+    p.add_argument("--levels", type=int, default=None,
+                   help=f"quantization levels (default {QuantizedSearch.levels})")
+    p.add_argument("--max-points", type=int, default=QuantizedSearch.max_points)
     p.set_defaults(func=cmd_enumerate)
 
     p = subs.add_parser("check-ops", help="run the operator property suite")
     _add_common(p, needs_problem=False)
-    p.add_argument("--levels", type=int, default=21, help="property grid levels (default 21)")
+    p.add_argument("--levels", type=int, default=21,
+                   help="property grid levels (default %(default)s)")
     p.set_defaults(func=cmd_check_ops)
 
     p = subs.add_parser("scenario", help="run the scenario configured in the problem file")
@@ -94,9 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _rule_and_set(problem, rule_name, set_name, what: str):
     """The rule and the set named on the command line, each falling back to
     the task section's rule and input; returns both names and both objects."""
-    task = problem.task or TaskConfig()
-    rule_name = task.rule if rule_name is None else rule_name
-    set_name = task.input if set_name is None else set_name
+    rule_name = problem.task.rule if rule_name is None else rule_name
+    set_name = problem.task.input if set_name is None else set_name
     for name, label in ((rule_name, "rule"), (set_name, what)):
         if name is None:
             raise ProblemError(f"no {label} given on the command line or in the task section")
@@ -148,8 +149,8 @@ def cmd_enumerate(args) -> int:
     problem = load_problem(args.problem, args.grid_points)
     rule_name, rule, obs_name, observed = _rule_and_set(problem, args.rule, args.observation,
                                                         "observation")
-    task_levels = problem.task.levels if problem.task else None
-    levels = args.levels if args.levels is not None else task_levels or 11
+    levels = args.levels if args.levels is not None else (
+        problem.task.levels or QuantizedSearch.levels)
     search = QuantizedSearch(levels=levels, max_points=args.max_points)
 
     relation = build_relation(rule)
@@ -157,7 +158,7 @@ def cmd_enumerate(args) -> int:
     solutions = enumerate_solutions(relation, observed, rule.tnorm, search)
     matrix = solutions.matrix
     _, snap_distance = snap_to_levels(observed.mu, levels)
-    if snap_distance > 1e-9:
+    if snap_distance > TOL:
         print(f"observation snapped to the {levels}-level grid "
               f"(largest shift {snap_distance:.6f})")
     print(f"exact solutions at {levels} levels: {len(matrix)}")
@@ -202,7 +203,7 @@ def cmd_check_ops(args) -> int:
     step = 1.0 / (_ORACLE_LEVELS - 1)
     for t_name, impl_name in sorted(RESIDUUM_FOR_TNORM.items()):
         gap = residuum_gap(t_name, impl_name, _ORACLE_GRID, _ORACLE_LEVELS)
-        ok = gap <= step + 1e-9
+        ok = gap <= step + TOL
         print(f"  {'PASS' if ok else 'FAIL'} {t_name}/{impl_name} "
               f"max gap {gap:.6f} (tolerance {step:.6f})")
         payload["residuum"].append(
@@ -233,7 +234,7 @@ def _print_suite(report, payload: dict, prefix: str | None = None) -> None:
 
 def cmd_scenario(args) -> int:
     problem = load_problem(args.problem, args.grid_points)
-    if problem.task is None or problem.task.scenario is None:
+    if problem.task.scenario is None:
         raise ProblemError("the problem file has no task.scenario section")
     config = problem.task.scenario
     # load_problem admits no other scenario kind

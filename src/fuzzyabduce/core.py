@@ -15,8 +15,9 @@ import numpy as np
 #: the oracle's exact images, operator laws)
 TOL = 1e-9
 
-#: most grid points make_universe builds: 10^7 points are 80 MB per set
-MAX_POINTS = 10_000_000
+#: the one array budget: the most doubles (80 MB) that a universe grid
+#: (make_universe), an oracle level table or an operator property grid may hold
+MAX_CELLS = 10_000_000
 
 #: degrees in one block of a folded relation or a residuum scan: 2**14
 #: doubles, 128 KB, which glibc serves from the heap below its default mmap
@@ -62,7 +63,7 @@ class Universe:
         return hash((self.name, self.grid.tobytes()))
 
 
-def make_universe(name: str, lo: float, hi: float, n: int = 101) -> Universe:
+def make_universe(name: str, lo: float, hi: float, n: int) -> Universe:
     """Build a uniform grid of n points from lo to hi inclusive."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"universe {name!r}: bounds must be finite, got [{lo}, {hi}]")
@@ -72,9 +73,9 @@ def make_universe(name: str, lo: float, hi: float, n: int = 101) -> Universe:
         raise ValueError(f"universe {name!r}: span hi - lo overflows, got [{lo}, {hi}]")
     if n < 2:
         raise ValueError(f"universe {name!r}: need at least 2 grid points, got {n}")
-    if n > MAX_POINTS:
+    if n > MAX_CELLS:
         raise ValueError(f"universe {name!r}: {n} grid points exceed the limit of "
-                         f"{MAX_POINTS}, so the grid is not allocated")
+                         f"{MAX_CELLS}, so the grid is not allocated")
     return Universe(name, np.linspace(lo, hi, n))
 
 

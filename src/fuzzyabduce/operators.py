@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BLOCK_CELLS, TOL
+from .core import BLOCK_CELLS, MAX_CELLS, TOL
 
 
 def canonical_name(kind: str) -> str:
@@ -173,7 +173,7 @@ def _residuum_scan(t: Callable, as_: np.ndarray, bs: np.ndarray, zs: np.ndarray)
     return np.where(last >= 0, zs[last], 0.0)
 
 
-def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int = 1001) -> float:
+def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int) -> float:
     """Brute-force residuum: the largest z on a quantized grid with T(a, z) <= b.
 
     Independent check for the closed-form residuated implications. It bisects
@@ -250,13 +250,8 @@ def _worst_case(violation: np.ndarray, grids: tuple, lhs: np.ndarray,
     return Counterexample(args, float(lhs_b[idx]), float(rhs_b[idx]), worst_val)
 
 
-#: the most cells a property grid may hold: the three-argument laws scan
-#: levels**3 of them (the same budget as the oracle's candidate limit)
-MAX_GRID_CELLS = 10_000_000
-
-
 def property_suite(tnorm_kind: Optional[str], implication_kind: str,
-                   grid_levels: int = 21) -> PropertyReport:
+                   grid_levels: int) -> PropertyReport:
     """Scan an implication for its expected algebraic laws on a quantized grid.
 
     Residuated implications must be paired with their generating t-norm and
@@ -271,9 +266,9 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
     """
     if grid_levels < 2:
         raise ValueError(f"property suite needs at least 2 grid levels, got {grid_levels}")
-    if grid_levels ** 3 > MAX_GRID_CELLS:
+    if grid_levels ** 3 > MAX_CELLS:
         raise ValueError(f"property suite grid of {grid_levels} levels exceeds the limit "
-                         f"of {MAX_GRID_CELLS} cells for its three-argument laws")
+                         f"of {MAX_CELLS} cells for its three-argument laws")
     impl_name = canonical_name(implication_kind)
     impl = implication_fn(impl_name)
     t_name = None if tnorm_kind is None else canonical_name(tnorm_kind)

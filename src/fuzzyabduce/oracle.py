@@ -26,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, FuzzySet, Universe
+from .core import MAX_CELLS, TOL, FuzzySet, Universe
 from .inference import Relation, check_universe
 from .operators import tnorm_fn
 
+#: the most candidates levels ** |U| a search may span: a bound on work, not on an array
 _MAX_CANDIDATES = 10_000_000
-#: the most cells the level table T(level, R(u, v)) may hold, |U| x levels x |V|
-#: (80 MB per float array); the relation's |U| x |V| degrees are fewer
-_MAX_TABLE_CELLS = 10_000_000
 #: cover rows that one expansion step may hold (at least one point's admissible
 #: levels' worth); a row packs one bit per v, so it takes ceil(|V| / 8) bytes
 _CHUNK = 8_192
@@ -121,7 +119,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
     full image. The scan places one point at a time, expanding only its admissible
     levels in ascending order, and each step expands a block of prefixes into
     at most max(_CHUNK, levels) cover rows, so memory does not grow with the
-    search space. A level table over _MAX_TABLE_CELLS cells is rejected
+    search space. A level table over MAX_CELLS cells is rejected
     before it, or the relation's rows, is built.
     """
     check_universe(b_prime, relation.consequent.universe, "observation", "into")
@@ -139,10 +137,10 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
         )
     width = len(relation.consequent.universe)
     cells = n * search.levels * width
-    if cells > _MAX_TABLE_CELLS:
+    if cells > MAX_CELLS:
         raise ValueError(
             f"level table of {cells} cells ({n} grid points x {search.levels} levels x "
-            f"{width} observation points) exceeds the limit of {_MAX_TABLE_CELLS}"
+            f"{width} observation points) exceeds the limit of {MAX_CELLS}"
         )
     target, _ = snap_to_levels(b_prime.mu, search.levels)
     grid = np.linspace(0.0, 1.0, search.levels)

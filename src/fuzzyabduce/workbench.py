@@ -45,6 +45,11 @@ class ProblemError(ValueError):
     """A problem file failed validation; the message names the offending entry."""
 
 
+#: the scenario kinds, each with the rule semantics it analyses and its name
+_ANALYSIS = {FAULT_COMPONENT: (CERTAINTY, "fault-component analysis"),
+             CAUSAL_DIAGNOSIS: (VARIATION, "causal analysis")}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
@@ -69,7 +74,7 @@ class Problem:
     sets: dict
     rules: dict
     observations: dict
-    task: Optional[TaskConfig] = None
+    task: TaskConfig = field(default_factory=TaskConfig)  # empty when the file has none
 
     def resolve_set(self, name: str) -> FuzzySet:
         """Look a name up first among observations, then among sets."""
@@ -182,6 +187,8 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
             ) from exc
         except RecursionError as exc:
             raise ProblemError(f"{path}: JSON nested too deeply to parse") from exc
+        except UnicodeDecodeError as exc:
+            raise ProblemError(f"{path}: not UTF-8 text: {exc}") from exc
     _require(isinstance(data, dict), f"{path}: top level must be a JSON object")
     spec: dict = {"universes": [], "sets": {}, "rules": {}}
 
@@ -237,7 +244,7 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
                     for name in section}
     spec["observations"] = dict(observations)
 
-    task = None
+    task = TaskConfig()
     if "task" in data:
         entry = _field(data, "task", "an object", "")
         known = observations.keys() | sets.keys()
@@ -247,7 +254,7 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
             sc = _field(entry, "scenario", "an object", "task")
             kind = _field(sc, "kind", "a string", where, None)
             _require(
-                kind in (FAULT_COMPONENT, CAUSAL_DIAGNOSIS),
+                kind in _ANALYSIS,
                 f"task.scenario: kind must be {FAULT_COMPONENT!r} or "
                 f"{CAUSAL_DIAGNOSIS!r}, got {kind!r}",
             )
@@ -256,7 +263,8 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
             for j in range(len(rule_names)):
                 _ref(rule_names, j, rules, "rule", f"{where}.rules")
             obs = _ref(sc, "observation", known, "observation", where)
-            threshold = float(_field(sc, "match_threshold", "a finite number", where, 0.7))
+            threshold = float(_field(sc, "match_threshold", "a finite number", where,
+                                     ScenarioConfig.match_threshold))
             _require(
                 0.0 <= threshold <= 1.0,
                 f"task.scenario: match_threshold must lie in [0, 1], got {threshold}",
@@ -319,11 +327,6 @@ class ScenarioReport:
     match_threshold: Optional[float]
     entries: list
     aggregates: list = field(default_factory=list)
-
-
-#: the rule semantics each scenario kind analyses, and the analysis's name
-_ANALYSIS = {FAULT_COMPONENT: (CERTAINTY, "fault-component analysis"),
-             CAUSAL_DIAGNOSIS: (VARIATION, "causal analysis")}
 
 
 def _scenario_inputs(problem: Problem, config: ScenarioConfig,

@@ -11,6 +11,9 @@ import pytest
 import fuzzyabduce
 from conftest import bundled_problem
 from fuzzyabduce.cli import main
+from fuzzyabduce.workbench import TaskConfig, load_problem, save_problem
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -271,6 +274,35 @@ def test_deeply_nested_problem_file_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "infer", "--problem", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {path}: JSON nested too deeply to parse\n"
+
+
+def test_non_utf8_problem_file_names_the_file(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"universes": [\xff')
+    code, out, err = run(capsys, "infer", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_problem_without_a_task_section(capsys, tmp_path):
+    path = write_mutated(tmp_path, "temperature.json", lambda d: d.pop("task"))
+    problem = load_problem(path)
+    assert problem.task == TaskConfig()
+    save_problem(problem, str(tmp_path / "saved.json"))
+    assert "task" not in json.loads((tmp_path / "saved.json").read_text(encoding="utf-8"))
+    for command in ("infer", "abduce", "enumerate"):
+        code, out, err = run(capsys, command, "--problem", path)
+        assert code == 1 and out == ""
+        assert err == "error: no rule given on the command line or in the task section\n"
+    # with no task.levels, enumerate searches at QuantizedSearch's default of 11 levels
+    code, out, _ = run(capsys, "enumerate", "--problem", path,
+                       "--rule", "heat_persists", "--observation", "reading")
+    assert code == 0
+    assert out == (GOLDEN / "enumerate_temperature.stdout").read_text(encoding="utf-8")
+    code, out, err = run(capsys, "scenario", "--problem", path)
+    assert code == 1 and out == ""
+    assert err == "error: the problem file has no task.scenario section\n"
 
 
 def write_mutated(tmp_path, name, mutate):

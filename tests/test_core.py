@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyabduce.core import (
-    MAX_POINTS,
+    MAX_CELLS,
     SHAPES,
     FuzzySet,
     Universe,
@@ -57,9 +57,9 @@ def test_make_universe_rejects_more_points_than_the_limit(monkeypatch):
         raise AssertionError("np.linspace was called")
 
     monkeypatch.setattr(np, "linspace", never)
-    with pytest.raises(ValueError, match=f"10000001 grid points exceed the limit of {MAX_POINTS}"):
-        make_universe("big", 0, 1, MAX_POINTS + 1)
-    assert MAX_POINTS == 10 ** 7
+    with pytest.raises(ValueError, match=f"10000001 grid points exceed the limit of {MAX_CELLS}"):
+        make_universe("big", 0, 1, MAX_CELLS + 1)
+    assert MAX_CELLS == 10 ** 7
 
 
 def test_universe_grid_must_strictly_increase():

@@ -151,9 +151,9 @@ def test_level_table_over_the_cell_limit_is_rejected_before_it_is_built():
 def test_level_table_limit_admits_a_table_at_the_limit():
     relation = build_relation(goedel_rule())  # 2 points x 11 levels x 2 points = 44 cells
     target = FuzzySet(V2, [0.8, 0.2])
-    with patch.object(oracle, "_MAX_TABLE_CELLS", 44):
+    with patch.object(oracle, "MAX_CELLS", 44):
         assert len(enumerate_solutions(relation, target, "minimum")) == 35
-    with patch.object(oracle, "_MAX_TABLE_CELLS", 43):
+    with patch.object(oracle, "MAX_CELLS", 43):
         with pytest.raises(ValueError, match="level table of 44 cells"):
             enumerate_solutions(relation, target, "minimum")
 
