@@ -106,47 +106,35 @@ def _rule_and_set(problem, rule_name, set_name, what: str):
     return rule_name, problem.rules[rule_name], set_name, problem.resolve_set(set_name)
 
 
-def cmd_infer(args) -> int:
-    problem = load_problem(args.problem, args.grid_points)
+def cmd_infer(args, problem):
     rule_name, rule, input_name, a_prime = _rule_and_set(problem, args.rule, args.input,
                                                          "input set")
     image = gmp(build_relation(rule), a_prime, rule.tnorm)
-    print(f"rule: {rule_name}")
-    print(f"input on {a_prime.universe.name}: {format_degrees(a_prime.mu)}")
-    print(f"image on {image.universe.name}: {format_degrees(image.mu)}")
-    write_json(args.out, {"rule": rule_name, "input": input_name,
-                          "image": report_as_dict(image)})
-    return 0
+    text = (f"rule: {rule_name}\n"
+            f"input on {a_prime.universe.name}: {format_degrees(a_prime.mu)}\n"
+            f"image on {image.universe.name}: {format_degrees(image.mu)}\n")
+    return 0, text, {"rule": rule_name, "input": input_name, "image": report_as_dict(image)}
 
 
-def _run_abduction(rule, observed):
-    if rule.semantics == CERTAINTY:
-        return abduce_certainty(rule, observed, rule.tnorm)
-    return abduce_variation(rule, observed)
-
-
-def cmd_abduce(args) -> int:
-    problem = load_problem(args.problem, args.grid_points)
+def cmd_abduce(args, problem):
     rule_name, rule, obs_name, observed = _rule_and_set(problem, args.rule, args.observation,
                                                         "observation")
-    result = _run_abduction(rule, observed)
+    if rule.semantics == CERTAINTY:
+        result = abduce_certainty(rule, observed, rule.tnorm)
+    else:
+        result = abduce_variation(rule, observed)
     hypothesis, solvability, roundtrip = result_lines(result, "")
-
-    print(f"rule: {rule_name}  scheme: {result.scheme}")
-    print(f"observation on {observed.universe.name}: {format_degrees(observed.mu)}")
-    print(solvability)
+    text = (f"rule: {rule_name}  scheme: {result.scheme}\n"
+            f"observation on {observed.universe.name}: {format_degrees(observed.mu)}\n"
+            f"{solvability}\n")
     if result.solvability.verdict == UNSOLVABLE and not args.bound:
-        print("no exact hypothesis exists; rerun with --bound for the best candidate")
-        return 2
-    print(hypothesis)
-    print(roundtrip)
-    write_json(args.out, {"rule": rule_name, "observation": obs_name,
-                          "result": report_as_dict(result)})
-    return 0
+        text += "no exact hypothesis exists; rerun with --bound for the best candidate\n"
+        return 2, text, None
+    return 0, f"{text}{hypothesis}\n{roundtrip}\n", {
+        "rule": rule_name, "observation": obs_name, "result": report_as_dict(result)}
 
 
-def cmd_enumerate(args) -> int:
-    problem = load_problem(args.problem, args.grid_points)
+def cmd_enumerate(args, problem):
     rule_name, rule, obs_name, observed = _rule_and_set(problem, args.rule, args.observation,
                                                         "observation")
     levels = args.levels if args.levels is not None else (
@@ -158,71 +146,69 @@ def cmd_enumerate(args) -> int:
     solutions = enumerate_solutions(relation, observed, rule.tnorm, search)
     matrix = solutions.matrix
     _, snap_distance = snap_to_levels(observed.mu, levels)
+    lines = []
     if snap_distance > TOL:
-        print(f"observation snapped to the {levels}-level grid "
-              f"(largest shift {snap_distance:.6f})")
-    print(f"exact solutions at {levels} levels: {len(matrix)}")
+        lines.append(f"observation snapped to the {levels}-level grid "
+                     f"(largest shift {snap_distance:.6f})")
+    lines.append(f"exact solutions at {levels} levels: {len(matrix)}")
     shown = matrix[:20]
     for row in shown:
-        print(f"  {format_degrees(row)}")
+        lines.append(f"  {format_degrees(row)}")
     if len(matrix) > len(shown):
-        print(f"  ... and {len(matrix) - len(shown)} more")
+        lines.append(f"  ... and {len(matrix) - len(shown)} more")
     greatest = greatest_enumerated(solutions)
     if greatest is not None:
-        print(f"greatest solution: {format_degrees(greatest.mu)}")
-    write_json(args.out, {
+        lines.append(f"greatest solution: {format_degrees(greatest.mu)}")
+    return 0, "\n".join(lines) + "\n", {
         "rule": rule_name,
         "observation": obs_name,
         "levels": levels,
         "snap_distance": snap_distance,
         "solutions": matrix.tolist(),
         "greatest": None if greatest is None else greatest.mu.tolist(),
-    })
-    return 0
+    }
 
 
 _ORACLE_LEVELS = 1001
 _ORACLE_GRID = 101
 
 
-def cmd_check_ops(args) -> int:
+def cmd_check_ops(args, problem):
     levels = args.levels
     payload: dict = {"grid_levels": levels, "suites": [], "residuum": []}
-    # the first suites run before the header, so a rejected level count prints nothing
-    reports = [property_suite(t, i, levels) for t, i in sorted(RESIDUUM_FOR_TNORM.items())]
-    print(f"property suite (grid levels: {levels})")
-    for report in reports:
-        print(f"{report.tnorm}/{report.implication}:")
-        _print_suite(report, payload)
-    print("s-implications (contrapositive symmetry):")
+    lines = [f"property suite (grid levels: {levels})"]
+    for t, i in sorted(RESIDUUM_FOR_TNORM.items()):
+        report = property_suite(t, i, levels)
+        lines.append(f"{report.tnorm}/{report.implication}:")
+        _suite_lines(report, lines, payload)
+    lines.append("s-implications (contrapositive symmetry):")
     for impl_name in sorted(S_IMPLICATIONS):
         # without a t-norm the suite runs the symmetry check alone
-        _print_suite(property_suite(None, impl_name, levels), payload, prefix=impl_name)
-    print(f"residuum agreement (closed form vs {_ORACLE_LEVELS}-level scan, "
-          f"{_ORACLE_GRID}x{_ORACLE_GRID} grid):")
+        _suite_lines(property_suite(None, impl_name, levels), lines, payload, prefix=impl_name)
+    lines.append(f"residuum agreement (closed form vs {_ORACLE_LEVELS}-level scan, "
+                 f"{_ORACLE_GRID}x{_ORACLE_GRID} grid):")
     step = 1.0 / (_ORACLE_LEVELS - 1)
     for t_name, impl_name in sorted(RESIDUUM_FOR_TNORM.items()):
         gap = residuum_gap(t_name, impl_name, _ORACLE_GRID, _ORACLE_LEVELS)
         ok = gap <= step + TOL
-        print(f"  {'PASS' if ok else 'FAIL'} {t_name}/{impl_name} "
-              f"max gap {gap:.6f} (tolerance {step:.6f})")
+        lines.append(f"  {'PASS' if ok else 'FAIL'} {t_name}/{impl_name} "
+                     f"max gap {gap:.6f} (tolerance {step:.6f})")
         payload["residuum"].append(
             {"tnorm": t_name, "implication": impl_name, "max_gap": gap, "passed": ok}
         )
-    write_json(args.out, payload)
-    return 0
+    return 0, "\n".join(lines) + "\n", payload
 
 
-def _print_suite(report, payload: dict, prefix: str | None = None) -> None:
+def _suite_lines(report, lines: list, payload: dict, prefix: str | None = None) -> None:
     for check in report.checks:
         label = f"{prefix} " if prefix else ""
         if check.passed:
-            print(f"  PASS {label}{check.name} ({check.cases} cases)")
+            lines.append(f"  PASS {label}{check.name} ({check.cases} cases)")
         else:
             w = check.worst
             at = ", ".join(f"{v:.6f}" for v in w.args)
-            print(f"  FAIL {label}{check.name} ({check.cases} cases) worst at ({at}): "
-                  f"lhs={w.lhs:.6f} rhs={w.rhs:.6f} violation={w.violation:.6f}")
+            lines.append(f"  FAIL {label}{check.name} ({check.cases} cases) worst at ({at}): "
+                         f"lhs={w.lhs:.6f} rhs={w.rhs:.6f} violation={w.violation:.6f}")
         payload["suites"].append({
             "tnorm": report.tnorm,
             "implication": report.implication,
@@ -232,21 +218,17 @@ def _print_suite(report, payload: dict, prefix: str | None = None) -> None:
         })
 
 
-def cmd_scenario(args) -> int:
-    problem = load_problem(args.problem, args.grid_points)
+def cmd_scenario(args, problem):
     if problem.task.scenario is None:
         raise ProblemError("the problem file has no task.scenario section")
     config = problem.task.scenario
     # load_problem admits no other scenario kind
     run = run_fault_scenario if config.kind == FAULT_COMPONENT else run_causal_scenario
     report = run(problem, config)
-    sys.stdout.write(render_report(report))
-    write_json(args.out, report_as_dict(report))
-    return 0
+    return 0, render_report(report), report_as_dict(report)
 
 
-def cmd_plot(args) -> int:
-    problem = load_problem(args.problem, args.grid_points)
+def cmd_plot(args, problem):
     if args.out is None:
         raise ProblemError("plot needs --out for the CSV path")
     names = [n.strip() for n in args.sets.split(",") if n.strip()]
@@ -256,15 +238,22 @@ def cmd_plot(args) -> int:
     for name in names:
         named.append((name, problem.resolve_set(name)))
     emit_plot_data(named, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return 0, f"wrote {args.out}\n", None
 
 
 def main(argv=None) -> int:
+    """Each cmd_* takes the arguments and the loaded problem (None for
+    check-ops) and returns (exit code, stdout text, --out payload or None).
+    The payload is written before stdout, so an exit 1 leaves stdout empty."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        problem = load_problem(args.problem, args.grid_points) if "problem" in args else None
+        code, text, payload = args.func(args, problem)
+        if payload is not None:
+            write_json(args.out, payload)
+        print(text, end="")
+        return code
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

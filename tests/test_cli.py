@@ -69,11 +69,13 @@ def test_abduce_solvable_roundtrip(capsys, temperature_path):
 
 def test_abduce_unsolvable_exits_2(capsys, tmp_path):
     path = write_unsolvable_problem(tmp_path)
-    code, out, _ = run(capsys, "abduce", "--problem", path)
+    out_path = tmp_path / "unsolvable_out.json"
+    code, out, _ = run(capsys, "abduce", "--problem", path, "--out", str(out_path))
     assert code == 2
     assert "solvability: unsolvable (at v=0 required 0.900000, available 0.300000)" in out
     assert "rerun with --bound" in out
     assert "hypothesis on" not in out
+    assert not out_path.exists()
 
 
 def test_abduce_bound_flag_reports_best_candidate(capsys, tmp_path):
@@ -221,6 +223,22 @@ def test_plot_without_out_is_an_error(capsys, temperature_path):
     code, _, err = run(capsys, "plot", "--problem", temperature_path, "--sets", "low")
     assert code == 1
     assert "plot needs --out" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--problem", bundled_problem("temperature.json")],
+    ["abduce", "--problem", bundled_problem("temperature.json")],
+    ["enumerate", "--problem", bundled_problem("temperature.json")],
+    ["check-ops"],
+    ["scenario", "--problem", bundled_problem("causal_medical.json")],
+    ["plot", "--problem", bundled_problem("temperature.json"), "--sets", "low"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_1_with_empty_stdout(capsys, tmp_path, argv):
+    # --out names a directory, so writing it fails after the command has run
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_missing_problem_file_exits_1(capsys):
