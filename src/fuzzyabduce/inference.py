@@ -21,6 +21,9 @@ from .operators import (
 CERTAINTY = "certainty"
 VARIATION = "variation"
 
+#: the implication family each semantics takes: its letter and its table
+_FAMILIES = {CERTAINTY: ("s", S_IMPLICATIONS), VARIATION: ("r", R_IMPLICATIONS)}
+
 
 @dataclass(frozen=True, eq=False)
 class Rule:
@@ -51,27 +54,20 @@ class Rule:
         object.__setattr__(self, "semantics", semantics)
         object.__setattr__(self, "implication", impl)
         object.__setattr__(self, "tnorm", t)
-        if semantics not in (CERTAINTY, VARIATION):
+        if semantics not in _FAMILIES:
             raise ValueError(
-                f"rule semantics must be {CERTAINTY!r} or {VARIATION!r}, got {self.semantics!r}"
+                f"rule semantics must be {' or '.join(map(repr, _FAMILIES))}, got {semantics!r}"
             )
-        tnorm_fn(self.tnorm)  # raises on an unknown t-norm
-        if semantics == CERTAINTY and impl not in S_IMPLICATIONS:
+        tnorm_fn(t)  # raises on an unknown t-norm
+        letter, family = _FAMILIES[semantics]
+        if impl not in family:
+            raise ValueError(f"{semantics} rules take an {letter}-family implication "
+                             f"({sorted(family)}), got {impl!r}")
+        if semantics == VARIATION and TNORM_FOR_RESIDUUM[impl] != t:
             raise ValueError(
-                f"certainty rules take an s-family implication "
-                f"({sorted(S_IMPLICATIONS)}), got {impl!r}"
+                f"variation rules pair each implication with its generating t-norm: "
+                f"{impl!r} goes with {TNORM_FOR_RESIDUUM[impl]!r}, got {t!r}"
             )
-        if semantics == VARIATION:
-            if impl not in R_IMPLICATIONS:
-                raise ValueError(
-                    f"variation rules take an r-family implication "
-                    f"({sorted(R_IMPLICATIONS)}), got {impl!r}"
-                )
-            if TNORM_FOR_RESIDUUM[impl] != t:
-                raise ValueError(
-                    f"variation rules pair each implication with its generating t-norm: "
-                    f"{impl!r} goes with {TNORM_FOR_RESIDUUM[impl]!r}, got {t!r}"
-                )
 
 
 #: largest |U|*|V| a rule relation is folded over when its operation has no
@@ -87,7 +83,8 @@ class Relation:
     It holds only the two sets, the antecedent A on U and the consequent B on
     V, whose degrees FuzzySet already keeps finite, in [0, 1] and read-only as
     the closed forms assume, and the name of an implication I. It computes rows
-    of I(A(u), B(v)), clipped to [0, 1], on demand; it never keeps a table.
+    of I(A(u), B(v)) on demand, never keeping a table; every implication keeps
+    degrees in [0, 1] as computed, as the range test checks.
     """
 
     antecedent: FuzzySet
@@ -101,8 +98,8 @@ class Relation:
     def rows(self, index) -> np.ndarray:
         """Degrees of the rows at index, a slice or an index array."""
         a, b = self.antecedent.mu, self.consequent.mu
-        rows = implication_fn(self.implication)(a[index, None], b[None, :])
-        return np.clip(rows, 0.0, 1.0, out=rows)  # a fresh array, clamped in place
+        # every implication keeps degrees in [0, 1] as computed (the range test)
+        return implication_fn(self.implication)(a[index, None], b[None, :])
 
     def blocks(self, rows=None):
         """Yield (lo, rows lo onwards) over blocks of about BLOCK_CELLS degrees.

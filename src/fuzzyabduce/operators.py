@@ -147,8 +147,7 @@ def implication_fn(kind: str) -> Callable:
 def implication(kind: str, a: float, b: float) -> float:
     """Degree to which antecedent degree a implies consequent degree b."""
     fn = implication_fn(kind)
-    value = fn(_check_degree("a", a), _check_degree("b", b))
-    return float(np.clip(value, 0.0, 1.0))
+    return float(fn(_check_degree("a", a), _check_degree("b", b)))
 
 
 def _residuum_scan(t: Callable, as_: np.ndarray, bs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -203,7 +202,7 @@ def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: in
     impl = implication_fn(implication_kind)
     g = np.arange(points) / (points - 1)
     scanned = _residuum_scan(t, g, g, np.linspace(0.0, 1.0, levels))
-    return float(np.max(np.abs(np.clip(impl(g[:, None], g[None, :]), 0.0, 1.0) - scanned)))
+    return float(np.max(np.abs(impl(g[:, None], g[None, :]) - scanned)))
 
 
 # --- algebraic property suite ----------------------------------------------

@@ -273,15 +273,11 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
         levels = _field(entry, "levels", "an integer", "task", None)
         _require(levels is None or levels >= 2,
                  f"task.levels: needs at least 2 levels, got {levels}")
-        given = {"kind": _field(entry, "kind", "a string", "task", None),
-                 "rule": _ref(entry, "rule", rules, "rule", "task", None),
-                 "input": _ref(entry, "input", known, "set or observation", "task", None),
-                 "levels": levels}
-        spec["task"] = {k: v for k, v in given.items() if v is not None}
-        task = TaskConfig(**spec["task"], scenario=scenario)
-        if scenario is not None:
-            spec["task"]["scenario"] = {"kind": kind, "rules": rule_names,
-                                        "observation": obs, "match_threshold": threshold}
+        task = TaskConfig(_field(entry, "kind", "a string", "task", None),
+                          _ref(entry, "rule", rules, "rule", "task", None),
+                          _ref(entry, "input", known, "set or observation", "task", None),
+                          levels, scenario)
+        spec["task"] = report_as_dict(task)
 
     return Problem(spec, universes, sets, rules, observations, task)
 

@@ -157,6 +157,23 @@ def test_tnorms_and_residua_are_monotone_as_the_pruning_needs():
         assert np.all(fn(x, y_above) >= fn(x, y)), name
 
 
+@pytest.mark.parametrize("impl", IMPLICATIONS)
+def test_implications_keep_degrees_in_the_unit_interval_as_computed(impl):
+    # Relation.rows returns the implication's values unclamped, so every
+    # implication must map degrees in [0, 1] into [0, 1], with no negative
+    # zero, as computed: on random pairs, on every pair of the extreme
+    # degrees, and on pairs one float apart
+    rng = np.random.default_rng(9)
+    x, y = rng.random(200_000), rng.random(200_000)
+    edges = np.array([0.0, 5e-324, np.finfo(float).tiny, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    ea, eb = np.repeat(edges, len(edges)), np.tile(edges, len(edges))
+    a = np.concatenate((x, ea, x, np.nextafter(x, 2.0)))
+    b = np.concatenate((y, eb, np.nextafter(x, 2.0), x))
+    values = implication_fn(impl)(a, b)
+    assert np.all((values >= 0.0) & (values <= 1.0)), impl
+    assert not np.any(np.signbit(values)), impl
+
+
 def undominated_by_definition(low, high):
     """Indices i with no j != i such that low[j] <= low[i] and high[j] >= high[i],
     unless (low[j], high[j]) equals (low[i], high[i]) and j comes after i."""

@@ -21,7 +21,13 @@ from fuzzyabduce.cli import main
 
 #: replacement values; no integer among them is large enough to allocate a big grid
 VALUES = [None, True, 0, -1, 2.7, 1e308, -1e308, 1e-308, math.inf, -math.inf, math.nan,
-          "", "x", [], [None], {}]
+          "", "x", [], [None], {},
+          # names the bundled problems or the library already use, so that a
+          # mutation passes the type checks and meets a name it collides with
+          "low", "high", "reading", "goedel", "reichenbach", "zadeh", "product",
+          "certainty", "variation", "singleton", "samples",
+          # boundary numbers; 10**20 points are rejected before any grid is made
+          5e-324, -0.0, 10**20, [0, 1], [1, 0]]
 DELETE = object()
 
 #: bundled problem -> sets on one universe, for plot

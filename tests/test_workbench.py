@@ -12,6 +12,7 @@ from fuzzyabduce.workbench import (
     FAULT_COMPONENT,
     ProblemError,
     ScenarioConfig,
+    TaskConfig,
     emit_plot_data,
     load_problem,
     render_report,
@@ -179,6 +180,15 @@ def test_save_then_load_is_idempotent(temperature_path, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     reloaded = load_problem(str(second))
     assert reloaded.to_dict() == problem.to_dict()
+
+
+def test_save_keeps_an_empty_task(tmp_path):
+    problem = load_problem(write_problem(tmp_path, minimal_problem(task={})))
+    assert problem.task == TaskConfig()
+    saved = tmp_path / "saved.json"
+    save_problem(problem, str(saved))
+    assert json.loads(saved.read_text(encoding="utf-8"))["task"] == {}
+    assert load_problem(str(saved)).to_dict() == problem.to_dict()
 
 
 # --- fault-component scenario ----------------------------------------------------
