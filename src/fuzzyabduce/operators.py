@@ -22,21 +22,13 @@ def canonical_name(kind: str) -> str:
 
 # --- t-norms ----------------------------------------------------------------
 
-def _t_minimum(a, b):
-    return np.minimum(a, b)
-
-
-def _t_product(a, b):
-    return np.multiply(a, b)
-
-
 def _t_lukasiewicz(a, b):
     return np.maximum(0.0, np.add(a, b) - 1.0)
 
 
 TNORMS: dict[str, Callable] = {
-    "minimum": _t_minimum,
-    "product": _t_product,
+    "minimum": np.minimum,
+    "product": np.multiply,
     "lukasiewicz": _t_lukasiewicz,
 }
 
@@ -45,7 +37,7 @@ def _check_degree(label: str, value) -> float:
     v = float(value)
     if not (0.0 <= v <= 1.0):
         raise ValueError(f"{label} must lie in [0, 1], got {value}")
-    return v
+    return v + 0.0  # -0.0 + 0.0 is +0.0, as FuzzySet stores it
 
 
 def _lookup(table: dict, kind: str, what: str) -> Callable:
@@ -175,16 +167,16 @@ def _residuum_scan(t: Callable, as_: np.ndarray, bs: np.ndarray, zs: np.ndarray)
 def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int) -> float:
     """Brute-force residuum: the largest z on a quantized grid with T(a, z) <= b.
 
-    Independent check for the closed-form residuated implications. It bisects
-    the suffix minimum of T(a, z) over z in {0, 1/(levels-1), ..., 1}, and
-    still returns the largest grid z with T(a, z) <= b.
+    Independent check for the closed-form residuated implications: it tests
+    every z in {0, 1/(levels-1), ..., 1} and returns the largest that
+    qualifies, or 0.0 where none does.
     """
     if levels < 2:
         raise ValueError(f"residuum oracle needs at least 2 levels, got {levels}")
     fn = tnorm_fn(tnorm_kind)
-    as_ = np.array([_check_degree("a", a)])
-    bs = np.array([_check_degree("b", b)])
-    return float(_residuum_scan(fn, as_, bs, np.linspace(0.0, 1.0, levels))[0, 0])
+    a, b = _check_degree("a", a), _check_degree("b", b)
+    zs = np.linspace(0.0, 1.0, levels)
+    return float(np.max(zs[fn(a, zs) <= b], initial=0.0))
 
 
 def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: int) -> float:

@@ -57,6 +57,10 @@ class ScenarioConfig:
     observation: str
     match_threshold: float = 0.7
 
+    def __post_init__(self):
+        if not 0.0 <= self.match_threshold <= 1.0:  # a nan fails too
+            raise ProblemError(f"match_threshold must lie in [0, 1], got {self.match_threshold}")
+
 
 @dataclass(frozen=True)
 class TaskConfig:
@@ -265,11 +269,7 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
             obs = _ref(sc, "observation", known, "observation", where)
             threshold = float(_field(sc, "match_threshold", "a finite number", where,
                                      ScenarioConfig.match_threshold))
-            _require(
-                0.0 <= threshold <= 1.0,
-                f"task.scenario: match_threshold must lie in [0, 1], got {threshold}",
-            )
-            scenario = ScenarioConfig(kind, tuple(rule_names), obs, threshold)
+            scenario = _built(where, ScenarioConfig, kind, tuple(rule_names), obs, threshold)
         levels = _field(entry, "levels", "an integer", "task", None)
         _require(levels is None or levels >= 2,
                  f"task.levels: needs at least 2 levels, got {levels}")

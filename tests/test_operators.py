@@ -76,6 +76,15 @@ def test_unknown_names_rejected():
         implication("xor", 0.5, 0.5)
 
 
+@pytest.mark.parametrize("op, kind", [(tnorm, k) for k in sorted(TNORMS)]
+                         + [(implication, k) for k in sorted(IMPLICATIONS)])
+def test_scalar_operators_read_a_negative_zero_as_zero(op, kind):
+    # FuzzySet stores -0.0 as +0.0, and so do the scalar entry points: no
+    # result keeps the sign of a negative zero argument
+    for a, b in [(-0.0, 0.5), (0.5, -0.0), (1.0, -0.0), (-0.0, 1.0), (-0.0, -0.0)]:
+        assert not np.signbit(op(kind, a, b)), (kind, a, b)
+
+
 def test_out_of_range_degrees_rejected():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         tnorm("minimum", 1.2, 0.5)
@@ -156,14 +165,18 @@ def test_residuum_oracle_needs_two_levels():
         residuum_oracle("minimum", 0.5, 0.5, 1)
 
 
+@pytest.mark.parametrize("points, levels", [(11, 101), (101, 1001)])
 @pytest.mark.parametrize("t_name, impl_name", sorted(RESIDUUM_FOR_TNORM.items()))
-def test_residuum_gap_equals_the_scalar_scan(t_name, impl_name):
-    # 11x11 grid of (a, b) at 101 levels, one scalar oracle call per pair
+def test_residuum_gap_equals_the_scalar_scan(t_name, impl_name, points, levels):
+    # one scalar oracle call per (a, b) pair of the points x points grid; the
+    # oracle tests every level and shares no code with the blocked scan.
+    # (101, 1001) is check-ops' own grid, whose gaps tests/golden/check_ops.json pins
+    grid = [i / (points - 1) for i in range(points)]
     expected = max(
-        abs(implication(impl_name, i / 10, j / 10) - residuum_oracle(t_name, i / 10, j / 10, 101))
-        for i in range(11) for j in range(11)
+        abs(implication(impl_name, a, b) - residuum_oracle(t_name, a, b, levels))
+        for a in grid for b in grid
     )
-    assert residuum_gap(t_name, impl_name, 11, 101) == expected
+    assert residuum_gap(t_name, impl_name, points, levels) == expected
 
 
 def scan_by_definition(t, a, bs, zs):

@@ -144,7 +144,8 @@ def test_scenario_validation(tmp_path):
     data = minimal_problem(task={"scenario": {"kind": FAULT_COMPONENT, "rules": ["drives"],
                                               "observation": "reading",
                                               "match_threshold": 1.5}})
-    with pytest.raises(ProblemError, match="match_threshold"):
+    with pytest.raises(ProblemError, match=r"^task\.scenario: match_threshold must lie in "
+                                           r"\[0, 1\], got 1\.5$"):
         load_problem(write_problem(tmp_path, data))
 
 
@@ -248,6 +249,14 @@ def test_unremarkable_observation_flags_nothing(circuit_path):
     report = run_fault_scenario(problem, config)
     assert all(not e.flagged for e in report.entries)
     assert all(e.result is None for e in report.entries)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 2.0, -1.0])
+def test_scenario_config_rejects_a_threshold_outside_the_unit_interval(threshold):
+    # a config built in code is checked as a loaded one is: a nan threshold
+    # would flag no rule and a negative one every rule
+    with pytest.raises(ProblemError, match=r"^match_threshold must lie in \[0, 1\]"):
+        ScenarioConfig(FAULT_COMPONENT, ("drives",), "reading", threshold)
 
 
 def test_fault_scenario_rejects_variation_rules(tmp_path):
