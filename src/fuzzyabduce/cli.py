@@ -222,7 +222,7 @@ def cmd_scenario(args, problem):
     if problem.task.scenario is None:
         raise ProblemError("the problem file has no task.scenario section")
     config = problem.task.scenario
-    # load_problem admits no other scenario kind
+    # ScenarioConfig admits no other scenario kind
     run = run_fault_scenario if config.kind == FAULT_COMPONENT else run_causal_scenario
     report = run(problem, config)
     return 0, render_report(report), report_as_dict(report)

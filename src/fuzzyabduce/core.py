@@ -170,13 +170,7 @@ def sample(kind: str, params, universe: Universe) -> FuzzySet:
     toward the lower point) and 0 elsewhere.
     """
     if kind == "samples":
-        degrees = [float(d) for d in params]
-        if not all(math.isfinite(d) for d in degrees):
-            raise ValueError("samples: degrees must be finite")
-        if len(degrees) != len(universe):
-            raise ValueError(f"samples: {len(degrees)} degrees for the "
-                             f"{len(universe)}-point universe {universe.name!r}")
-        return FuzzySet(universe, degrees)
+        return FuzzySet(universe, params)
     if kind not in SHAPES:
         raise ValueError(f"unknown shape kind {kind!r}")
     arity, degrees_at = SHAPES[kind]

@@ -146,18 +146,14 @@ def _residuum_scan(t: Callable, as_: np.ndarray, bs: np.ndarray, zs: np.ndarray)
     """For each a of as_ (a row) and b of bs (a column), the largest z of the
     increasing grid zs with T(a, z) <= b, or 0.0 where there is none.
 
-    The suffix minimum of T(a, zs) never falls as z grows, and it is <= b up
-    to the last z with T(a, z) <= b and above b after it. So a bisection finds
-    that z exactly, whether or not T rounds monotonically in z. The rows
-    T(a, zs) are tabulated in blocks of about BLOCK_CELLS degrees, and a block
-    whose rows all are nondecreasing is its own suffix minimum.
+    Every t-norm of TNORMS rounds monotonically in z, so the row T(a, zs)
+    never falls and a bisection finds that z exactly. The rows are tabulated
+    in blocks of about BLOCK_CELLS degrees.
     """
     last = np.empty((len(as_), len(bs)), dtype=np.intp)
     step = max(1, BLOCK_CELLS // len(zs))
     for lo in range(0, len(as_), step):
         rows = t(as_[lo:lo + step, None], zs[None, :])
-        if not np.all(rows[:, 1:] >= rows[:, :-1]):
-            rows = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
         for k, row in enumerate(rows, lo):
             last[k] = row.searchsorted(bs, side="right")
     last -= 1

@@ -18,8 +18,9 @@ Shapes: triangular [a,b,c], trapezoidal [a,b,c,d], gaussian [center,width],
 singleton [point], samples [one degree per grid point]. A scenario task
 carries its configuration under task.scenario. Numbers must be finite JSON
 numbers (not booleans), points and levels integers, names strings; any other
-value is a ProblemError that names the entry. All report rendering is
-deterministic: the same problem file always produces byte-identical output.
+value is a ProblemError that names the file and the entry. All report
+rendering is deterministic: the same problem file always produces
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -58,6 +59,11 @@ class ScenarioConfig:
     match_threshold: float = 0.7
 
     def __post_init__(self):
+        if self.kind not in _ANALYSIS:
+            raise ProblemError(f"kind must be {FAULT_COMPONENT!r} or {CAUSAL_DIAGNOSIS!r}, "
+                               f"got {self.kind!r}")
+        if not self.rules:
+            raise ProblemError("needs at least one rule")
         if not 0.0 <= self.match_threshold <= 1.0:  # a nan fails too
             raise ProblemError(f"match_threshold must lie in [0, 1], got {self.match_threshold}")
 
@@ -155,23 +161,23 @@ def _built(where: str, make, *args):
         raise ProblemError(f"{where}: {exc}") from exc
 
 
-def _unique_keys(pairs: list, path: str) -> dict:
+def _unique_keys(pairs: list) -> dict:
     """A JSON object from its pairs; json.load alone would keep the last of two equal keys."""
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ProblemError(f"{path}: duplicate key {key!r}")
+            raise ProblemError(f"duplicate key {key!r}")
         obj[key] = value
     return obj
 
 
-def _parse_int(text: str, path: str) -> int:
+def _parse_int(text: str) -> int:
     """An integer literal; int() refuses one of more than 4,300 digits with a
     bare ValueError that would name neither the file nor the cause."""
     try:
         return int(text)
     except ValueError as exc:
-        raise ProblemError(f"{path}: integer literal of {len(text)} characters "
+        raise ProblemError(f"integer literal of {len(text)} characters "
                            f"is too long to parse") from exc
 
 
@@ -179,21 +185,28 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
     """Parse and validate a problem file.
 
     grid_points overrides the resolution of every universe declared with
-    lo/hi/points; universes declared with an explicit grid keep it.
+    lo/hi/points; universes declared with an explicit grid keep it. Every
+    ProblemError raised here starts with the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, path),
-                             parse_int=lambda text: _parse_int(text, path))
-        except json.JSONDecodeError as exc:
-            raise ProblemError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        except RecursionError as exc:
-            raise ProblemError(f"{path}: JSON nested too deeply to parse") from exc
-        except UnicodeDecodeError as exc:
-            raise ProblemError(f"{path}: not UTF-8 text: {exc}") from exc
-    _require(isinstance(data, dict), f"{path}: top level must be a JSON object")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_parse_int)
+            except json.JSONDecodeError as exc:
+                raise ProblemError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                                   f"{exc.msg}") from exc
+            except RecursionError as exc:
+                raise ProblemError("JSON nested too deeply to parse") from exc
+            except UnicodeDecodeError as exc:
+                raise ProblemError(f"not UTF-8 text: {exc}") from exc
+        return _parse_problem(data, grid_points)
+    except ProblemError as exc:
+        raise ProblemError(f"{path}: {exc}") from exc
+
+
+def _parse_problem(data, grid_points: Optional[int]) -> Problem:
+    """The Problem a decoded problem file describes."""
+    _require(isinstance(data, dict), "top level must be a JSON object")
     spec: dict = {"universes": [], "sets": {}, "rules": {}}
 
     universes: dict[str, Universe] = {}
@@ -257,13 +270,7 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
             where = "task.scenario"
             sc = _field(entry, "scenario", "an object", "task")
             kind = _field(sc, "kind", "a string", where, None)
-            _require(
-                kind in _ANALYSIS,
-                f"task.scenario: kind must be {FAULT_COMPONENT!r} or "
-                f"{CAUSAL_DIAGNOSIS!r}, got {kind!r}",
-            )
             rule_names = _field(sc, "rules", "a list", where, [])
-            _require(len(rule_names) > 0, "task.scenario: needs at least one rule")
             for j in range(len(rule_names)):
                 _ref(rule_names, j, rules, "rule", f"{where}.rules")
             obs = _ref(sc, "observation", known, "observation", where)
@@ -332,8 +339,6 @@ def _scenario_inputs(problem: Problem, config: ScenarioConfig,
     to conclude on the observation's universe."""
     if config.kind != kind:
         raise ProblemError(f"{kind} scenario got config kind {config.kind!r}")
-    if not config.rules:
-        raise ProblemError("scenario: needs at least one rule")
     semantics, analysis = _ANALYSIS[kind]
     observed = problem.resolve_set(config.observation)
     found = []

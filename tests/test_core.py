@@ -69,6 +69,12 @@ def test_universe_grid_must_strictly_increase():
         Universe("x", np.array([]))
 
 
+@pytest.mark.parametrize("point", [float("nan"), float("inf"), -float("inf")])
+def test_universe_grid_points_must_be_finite(point):
+    with pytest.raises(ValueError, match="^universe 'x': grid points must be finite$"):
+        Universe("x", np.array([0.0, point]))
+
+
 def test_universe_equality_and_hash():
     a = Universe("x", np.array([0.0, 1.0]))
     b = Universe("x", np.array([0.0, 1.0]))

@@ -165,6 +165,13 @@ def test_residuum_oracle_needs_two_levels():
         residuum_oracle("minimum", 0.5, 0.5, 1)
 
 
+@pytest.mark.parametrize("points, levels", [(1, 11), (11, 1)])
+def test_residuum_gap_needs_two_points_and_two_levels(points, levels):
+    with pytest.raises(ValueError, match=f"^residuum scan needs at least 2 points and 2 "
+                                         f"levels, got {points} and {levels}$"):
+        residuum_gap("product", "goguen", points, levels)
+
+
 @pytest.mark.parametrize("points, levels", [(11, 101), (101, 1001)])
 @pytest.mark.parametrize("t_name, impl_name", sorted(RESIDUUM_FOR_TNORM.items()))
 def test_residuum_gap_equals_the_scalar_scan(t_name, impl_name, points, levels):
@@ -217,26 +224,18 @@ def test_residuum_scan_equals_its_definition(t_name, drawn, levels, extra, data)
     assert [r.tobytes() for r in got] == [want[k % len(degrees)] for k in range(len(as_))]
 
 
-def test_residuum_scan_does_not_need_a_monotone_row():
-    # a row that dips and rises again: the suffix minimum, not monotone
-    # rounding in z, is what finds the last z with T(a, z) <= b
-    # (a bisection of the row itself lands left of the 0.2 and returns z = 1/8
-    # for b = 0.2 and 0.5)
-    row = np.array([0.0, 0.1, 0.9, 0.8, 0.9, 0.6, 0.2, 0.7, 1.0])
-    zs = np.linspace(0.0, 1.0, row.size)
-    # a = 1 takes the dipping row, any other a the rising row a * z; the one
-    # a = 1 sits in the second of three blocks, so only that block takes the
-    # suffix minimum
-    t = lambda a, z: np.where(a == 1.0, row, a * z)  # noqa: E731
-    step = BLOCK_CELLS // row.size
-    as_ = np.linspace(0.0, 0.5, 3 * step)
-    as_[step + 7] = 1.0
-    bs = np.array([-0.1, 0.0, 0.05, 0.1, 0.15, 0.2, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-    got = _residuum_scan(t, as_, bs, zs)
-    want = np.array([scan_by_definition(t, a, bs, zs) for a in as_])
-    assert got.tobytes() == want.tobytes()
-    last = [None, 0, 0, 1, 1, 6, 6, 6, 7, 7, 7, 8]
-    assert np.array_equal(got[step + 7], [0.0 if k is None else zs[k] for k in last])
+@pytest.mark.parametrize("t_name", sorted(TNORMS))
+def test_tnorms_never_fall_as_the_second_degree_grows(t_name):
+    # _residuum_scan bisects the row T(a, zs) itself, so each t-norm must round
+    # monotonically in z: on pairs of adjacent floats, and along level grids
+    t = TNORMS[t_name]
+    rng = np.random.default_rng(13)
+    as_ = np.concatenate([rng.random(500), EDGE_DEGREES])[:, None]
+    z = np.concatenate([rng.random(400), EDGE_DEGREES])[None, :]
+    assert np.all(t(as_, np.nextafter(z, 1.0)) >= t(as_, z))
+    for levels in (2, 3, 11, 101, 1001, 4097):
+        rows = t(as_, np.linspace(0.0, 1.0, levels))
+        assert np.all(rows[:, 1:] >= rows[:, :-1]), levels
 
 
 @pytest.mark.parametrize("t_name, impl_name", sorted(RESIDUUM_FOR_TNORM.items()))

@@ -87,6 +87,11 @@ def test_snap_of_empty_vector():
     assert snapped.size == 0 and shift == 0.0
 
 
+def test_snap_needs_two_levels():
+    with pytest.raises(ValueError, match="^quantization needs at least 2 levels, got 1$"):
+        snap_to_levels(np.array([0.5]), 1)
+
+
 def all_ones(u, v):
     """The goedel rule relation of an empty antecedent: every degree is 1."""
     return Relation(FuzzySet(u, np.zeros(len(u))), FuzzySet(v, np.ones(len(v))), "goedel")

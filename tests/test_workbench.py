@@ -102,9 +102,10 @@ BAD_SHAPES = {
     "nan_width": ("gaussian", [0, float("nan")], [0, 1],
                   "gaussian: center and width must be finite"),
     "infinite_point": ("singleton", [-float("inf")], [0, 1], "singleton: point must be finite"),
-    "nan_degree": ("samples", [0.5, float("nan")], [0, 1], "samples: degrees must be finite"),
+    "nan_degree": ("samples", [0.5, float("nan")], [0, 1],
+                   "membership degrees on 'cause' must be finite"),
     "samples_length": ("samples", [0.5], [0, 1],
-                       "samples: 1 degrees for the 2-point universe 'cause'"),
+                       "membership vector has (1,) values for the 2-point universe 'cause'"),
     "one_point_grid": ("trapezoidal", [0, 0, 1, 1], [0],
                        "parametric shapes need at least 2 grid points on 'cause'"),
 }
@@ -119,9 +120,10 @@ def test_load_problem_rejects_a_shape_as_sample_does(tmp_path, case):
     data = minimal_problem(universes=[{"name": "cause", "grid": grid}, TWO_POINT[1]])
     data["sets"]["present"] = {"universe": "cause", "shape": kind, "params": params}
     # json.dumps writes the non-finite floats as Infinity and NaN, which json.load reads
+    path = write_problem(tmp_path, data)
     with pytest.raises(ProblemError) as loaded:
-        load_problem(write_problem(tmp_path, data))
-    assert str(loaded.value) == f"sets.present: {direct.value}"
+        load_problem(path)
+    assert str(loaded.value) == f"{path}: sets.present: {direct.value}"
 
 
 def test_unknown_observation_target(tmp_path):
@@ -130,23 +132,47 @@ def test_unknown_observation_target(tmp_path):
         load_problem(write_problem(tmp_path, data))
 
 
-def test_scenario_validation(tmp_path):
-    data = minimal_problem(task={"scenario": {"kind": "exorcism", "rules": ["drives"],
-                                              "observation": "reading"}})
-    with pytest.raises(ProblemError, match="task.scenario: kind"):
-        load_problem(write_problem(tmp_path, data))
+@pytest.mark.parametrize("scenario, message", [
+    ({"kind": "exorcism", "rules": ["drives"]},
+     "kind must be 'fault_component' or 'causal_diagnosis', got 'exorcism'"),
+    ({"kind": FAULT_COMPONENT, "rules": []}, "needs at least one rule"),
+    ({"kind": FAULT_COMPONENT, "rules": ["drives"], "match_threshold": 1.5},
+     "match_threshold must lie in [0, 1], got 1.5"),
+], ids=["unknown_kind", "no_rules", "threshold"])
+def test_scenario_validation(tmp_path, scenario, message):
+    path = write_problem(tmp_path, minimal_problem(
+        task={"scenario": {**scenario, "observation": "reading"}}))
+    with pytest.raises(ProblemError) as loaded:
+        load_problem(path)
+    assert str(loaded.value) == f"{path}: task.scenario: {message}"
 
-    data = minimal_problem(task={"scenario": {"kind": FAULT_COMPONENT, "rules": [],
-                                              "observation": "reading"}})
-    with pytest.raises(ProblemError, match="at least one rule"):
-        load_problem(write_problem(tmp_path, data))
 
-    data = minimal_problem(task={"scenario": {"kind": FAULT_COMPONENT, "rules": ["drives"],
-                                              "observation": "reading",
-                                              "match_threshold": 1.5}})
-    with pytest.raises(ProblemError, match=r"^task\.scenario: match_threshold must lie in "
-                                           r"\[0, 1\], got 1\.5$"):
-        load_problem(write_problem(tmp_path, data))
+#: files load_problem rejects, each as (its content, a JSON object or raw
+#: bytes, and the grid_points override)
+BAD_FILES = {
+    "dangling_consequent": (minimal_problem(rules={"drives": {
+        "antecedent": "present", "consequent": "ghost", "semantics": "variation",
+        "implication": "goedel", "tnorm": "minimum"}}), None),
+    "duplicate_key": (b'{"sets": {}, "sets": {}}', None),
+    "top_level_list": (b"[]", None),
+    "invalid_json": (b'{"universes": [', None),
+    "not_utf8": (b'{"universes": [\xff', None),
+    "long_integer": (b'{"universes": [{"points": 1' + b"0" * 4999 + b"}]}", None),
+    "grid_too_large": (minimal_problem(), 10 ** 18),
+    "empty_scenario_rules": (minimal_problem(task={"scenario": {
+        "kind": FAULT_COMPONENT, "rules": [], "observation": "reading"}}), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_every_load_error_starts_with_the_path_once(tmp_path, case):
+    content, grid_points = BAD_FILES[case]
+    path = tmp_path / "problem.json"
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    with pytest.raises(ProblemError) as loaded:
+        load_problem(str(path), grid_points)
+    message = str(loaded.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, message
 
 
 def test_resolve_set_behaviour(tmp_path):
@@ -362,13 +388,11 @@ def test_scenario_rejects_an_unknown_rule(circuit_path):
         run_fault_scenario(problem, config)
 
 
-@pytest.mark.parametrize("kind, runner", [(FAULT_COMPONENT, run_fault_scenario),
-                                          (CAUSAL_DIAGNOSIS, run_causal_scenario)])
-def test_scenario_rejects_an_empty_rule_list(circuit_path, kind, runner):
-    # load_problem rejects such a file; a config built in code must fail the same way
-    problem = load_problem(circuit_path)
-    with pytest.raises(ProblemError, match="scenario: needs at least one rule"):
-        runner(problem, ScenarioConfig(kind, (), "observed_output"))
+@pytest.mark.parametrize("kind", [FAULT_COMPONENT, CAUSAL_DIAGNOSIS])
+def test_scenario_rejects_an_empty_rule_list(kind):
+    # a config built in code fails as a loaded one does, before any scenario runs
+    with pytest.raises(ProblemError, match="^needs at least one rule$"):
+        ScenarioConfig(kind, (), "observed_output")
 
 
 def test_causal_scenario_rejects_certainty_rules(circuit_path):
