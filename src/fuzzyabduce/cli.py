@@ -184,7 +184,7 @@ def cmd_check_ops(args, problem):
     lines.append("s-implications (contrapositive symmetry):")
     for impl_name in sorted(S_IMPLICATIONS):
         # without a t-norm the suite runs the symmetry check alone
-        _suite_lines(property_suite(None, impl_name, levels), lines, payload, prefix=impl_name)
+        _suite_lines(property_suite(None, impl_name, levels), lines, payload)
     lines.append(f"residuum agreement (closed form vs {_ORACLE_LEVELS}-level scan, "
                  f"{_ORACLE_GRID}x{_ORACLE_GRID} grid):")
     step = 1.0 / (_ORACLE_LEVELS - 1)
@@ -199,9 +199,10 @@ def cmd_check_ops(args, problem):
     return 0, "\n".join(lines) + "\n", payload
 
 
-def _suite_lines(report, lines: list, payload: dict, prefix: str | None = None) -> None:
+def _suite_lines(report, lines: list, payload: dict) -> None:
+    # the s-implications' suites share one heading, so each line names its own
+    label = "" if report.tnorm else f"{report.implication} "
     for check in report.checks:
-        label = f"{prefix} " if prefix else ""
         if check.passed:
             lines.append(f"  PASS {label}{check.name} ({check.cases} cases)")
         else:

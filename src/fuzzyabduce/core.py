@@ -19,11 +19,11 @@ TOL = 1e-9
 #: (make_universe), an oracle level table or an operator property grid may hold
 MAX_CELLS = 10_000_000
 
-#: degrees in one block of a folded relation or a residuum scan: 2**14
-#: doubles, 128 KB, which glibc serves from the heap below its default mmap
-#: threshold. A block and its temporaries then stay in a core's cache and are
-#: never page-faulted afresh; 2**15 and 2**16 cells faulted 27,900 and 17,200
-#: times per dense_grid cycle, against 629 here. 16 rows at 1001 points.
+#: degrees in one block of a folded relation: 2**14 doubles, 128 KB, which
+#: glibc serves from the heap below its default mmap threshold. A block and its
+#: temporaries then stay in a core's cache and are never page-faulted afresh;
+#: 2**15 and 2**16 cells faulted 27,900 and 17,200 times per dense_grid cycle,
+#: against 629 here. 16 rows at 1001 points.
 BLOCK_CELLS = 1 << 14
 
 

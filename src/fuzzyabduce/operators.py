@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BLOCK_CELLS, MAX_CELLS, TOL
+from .core import MAX_CELLS, TOL
 
 
 def canonical_name(kind: str) -> str:
@@ -147,16 +147,9 @@ def _residuum_scan(t: Callable, as_: np.ndarray, bs: np.ndarray, zs: np.ndarray)
     increasing grid zs with T(a, z) <= b, or 0.0 where there is none.
 
     Every t-norm of TNORMS rounds monotonically in z, so the row T(a, zs)
-    never falls and a bisection finds that z exactly. The rows are tabulated
-    in blocks of about BLOCK_CELLS degrees.
+    never falls and a bisection finds that z exactly.
     """
-    last = np.empty((len(as_), len(bs)), dtype=np.intp)
-    step = max(1, BLOCK_CELLS // len(zs))
-    for lo in range(0, len(as_), step):
-        rows = t(as_[lo:lo + step, None], zs[None, :])
-        for k, row in enumerate(rows, lo):
-            last[k] = row.searchsorted(bs, side="right")
-    last -= 1
+    last = np.array([t(a, zs).searchsorted(bs, side="right") for a in as_]) - 1
     return np.where(last >= 0, zs[last], 0.0)
 
 
@@ -179,9 +172,9 @@ def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: in
     """Largest gap between a closed-form implication and residuum_oracle
     over the points x points grid of degrees a, b = i / (points - 1).
 
-    Scans every a against every b in blocks of a and compares the scanned
-    matrix with the closed form in one pass, so the largest temporaries hold
-    points x points values or one block of the scan.
+    Bisects each a's own row against every b and compares the scanned matrix
+    with the closed form in one pass, so the largest temporaries hold
+    points x points values or one row of levels degrees.
     """
     if points < 2 or levels < 2:
         raise ValueError(f"residuum scan needs at least 2 points and 2 levels, "
@@ -222,16 +215,17 @@ class PropertyReport:
         return all(c.passed for c in self.checks)
 
 
-def _worst_case(violation: np.ndarray, grids: tuple, lhs: np.ndarray,
+def _worst_case(violation: np.ndarray, g: np.ndarray, lhs: np.ndarray,
                 rhs: np.ndarray) -> Counterexample | None:
-    """The worst counterexample in a violation tensor, or None within tolerance."""
+    """The worst counterexample in a violation tensor whose every axis is the
+    grid g, or None within tolerance."""
     shape = violation.shape
     worst_flat = int(np.argmax(violation))
     worst_val = float(violation.flat[worst_flat])
     if worst_val <= TOL:
         return None
     idx = np.unravel_index(worst_flat, shape)
-    args = tuple(float(g[i]) for g, i in zip(grids, idx))
+    args = tuple(float(g[i]) for i in idx)
     lhs_b = np.broadcast_to(lhs, shape)
     rhs_b = np.broadcast_to(rhs, shape)
     return Counterexample(args, float(lhs_b[idx]), float(rhs_b[idx]), worst_val)
@@ -241,10 +235,10 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
                    grid_levels: int) -> PropertyReport:
     """Scan an implication for its expected algebraic laws on a quantized grid.
 
-    Residuated implications must be paired with their generating t-norm and
-    are checked for the ordering, detachment, and boundary laws that tie a
-    residuum to its t-norm. Material (s-family) implications are checked for
-    contrapositive symmetry. An unknown t-norm is rejected.
+    A t-norm selects the ordering, detachment, and boundary laws that tie a
+    residuum to its t-norm, so it must generate the implication, and a
+    residuated implication needs one; an unknown t-norm is reported first.
+    Material (s-family) implications are checked for contrapositive symmetry.
 
     Each law is a row (name, lhs, rhs, premise or None, "==" or "<="), its
     arguments one grid axis each; it is violated where the premise holds and
@@ -260,17 +254,19 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
     impl = implication_fn(impl_name)
     t_name = None if tnorm_kind is None else canonical_name(tnorm_kind)
     if t_name is None and impl_name not in S_IMPLICATIONS:
-        raise ValueError(f"implication {implication_kind!r} is residuated; "
+        raise ValueError(f"implication {impl_name!r} is residuated; "
                          f"pass its generating t-norm")
     t = None if t_name is None else tnorm_fn(t_name)  # raises on an unknown t-norm
+    if t is not None and impl_name not in R_IMPLICATIONS:
+        raise ValueError(f"implication {impl_name!r} is not residuated; pass no t-norm")
+    if t is not None and TNORM_FOR_RESIDUUM[impl_name] != t_name:
+        raise ValueError(f"implication {impl_name!r} is the residuum of "
+                         f"{TNORM_FOR_RESIDUUM[impl_name]!r}, not of {t_name!r}")
     g = np.linspace(0.0, 1.0, grid_levels)
     a2, b2 = g[:, None], g[None, :]
     iab = impl(a2, b2)
     laws = []
-    if impl_name in R_IMPLICATIONS and t is not None:
-        if TNORM_FOR_RESIDUUM[impl_name] != t_name:
-            raise ValueError(f"implication {impl_name!r} is the residuum of "
-                             f"{TNORM_FOR_RESIDUUM[impl_name]!r}, not of {t_name!r}")
+    if t is not None:
         a3, b3, c3 = g[:, None, None], g[None, :, None], g[None, None, :]
         laws += [
             # larger consequents never shrink the implication degree
@@ -295,6 +291,6 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
         violation = np.abs(lhs - rhs) if compare == "==" else lhs - rhs
         if premise is not None:
             violation = np.where(premise, violation, -np.inf)
-        worst = _worst_case(violation, (g,) * violation.ndim, lhs, rhs)
+        worst = _worst_case(violation, g, lhs, rhs)
         checks.append(PropertyCheck(name, worst is None, violation.size, worst))
     return PropertyReport(t_name, impl_name, tuple(checks))

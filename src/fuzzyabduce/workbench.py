@@ -389,30 +389,30 @@ def run_causal_scenario(problem: Problem, config: ScenarioConfig) -> ScenarioRep
     """Per-cause contribution bounds for an observed effect.
 
     Each variation rule gets its own residual-bound hypothesis. When several
-    rules share an antecedent universe their bounds are additionally combined
-    by pointwise minimum; that combination step is an extension beyond the
-    per-rule scheme and is labeled as such in the report.
+    rules share an antecedent universe (its name and its grid) their bounds
+    are additionally combined by pointwise minimum; that combination step is
+    an extension beyond the per-rule scheme and is labeled as such in the report.
     """
     observed, rules = _scenario_inputs(problem, config, CAUSAL_DIAGNOSIS)
     entries = []
-    by_universe: dict[str, list[tuple[str, FuzzySet]]] = {}
+    by_universe: dict[Universe, list[tuple[str, FuzzySet]]] = {}
     for name, rule in rules:
         result = abduce_variation(rule, observed)
         entries.append(ScenarioEntry(rule=name, result=result))
-        by_universe.setdefault(rule.antecedent.universe.name, []).append(
+        by_universe.setdefault(rule.antecedent.universe, []).append(
             (name, result.hypothesis)
         )
 
     aggregates = []
-    for uname, group in by_universe.items():
+    for universe, group in by_universe.items():
         if len(group) < 2:
             continue
         stacked = np.stack([h.mu for _, h in group])
-        combined = FuzzySet(group[0][1].universe, np.min(stacked, axis=0))
+        combined = FuzzySet(universe, np.min(stacked, axis=0))
         aggregates.append(
             CombinedHypothesis(
                 label=AGGREGATION_LABEL,
-                universe=uname,
+                universe=universe.name,
                 rules=tuple(name for name, _ in group),
                 hypothesis=combined,
             )

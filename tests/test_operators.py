@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzyabduce
-from fuzzyabduce.core import BLOCK_CELLS
 from fuzzyabduce.operators import (
     CONTRAPOSITIVE_S,
     IMPLICATIONS,
@@ -176,7 +175,7 @@ def test_residuum_gap_needs_two_points_and_two_levels(points, levels):
 @pytest.mark.parametrize("t_name, impl_name", sorted(RESIDUUM_FOR_TNORM.items()))
 def test_residuum_gap_equals_the_scalar_scan(t_name, impl_name, points, levels):
     # one scalar oracle call per (a, b) pair of the points x points grid; the
-    # oracle tests every level and shares no code with the blocked scan.
+    # oracle tests every level and shares no code with the row scan.
     # (101, 1001) is check-ops' own grid, whose gaps tests/golden/check_ops.json pins
     grid = [i / (points - 1) for i in range(points)]
     expected = max(
@@ -214,32 +213,33 @@ def test_residuum_scan_equals_its_definition(t_name, drawn, levels, extra, data)
     # tie is drawn, and the floats just below them fall on the other side; a b
     # below 0 has no z
     bs = np.concatenate([row, np.nextafter(row, -1.0), extra, [-1.0]])
-    # the drawn degrees and EDGE_DEGREES over and over, on more rows than one
-    # block of the scan holds
+    # the drawn degrees and EDGE_DEGREES, each on one to three rows
     degrees = [*drawn, *EDGE_DEGREES]
-    step = BLOCK_CELLS // levels
-    as_ = np.resize(degrees, data.draw(st.integers(step + 1, 3 * step), label="rows"))
+    as_ = np.resize(degrees, data.draw(st.integers(len(degrees), 3 * len(degrees)),
+                                       label="rows"))
     got = _residuum_scan(t, as_, bs, zs)
     want = [scan_by_definition(t, a, bs, zs).tobytes() for a in degrees]
     assert [r.tobytes() for r in got] == [want[k % len(degrees)] for k in range(len(as_))]
 
 
 @pytest.mark.parametrize("t_name", sorted(TNORMS))
-def test_tnorms_never_fall_as_the_second_degree_grows(t_name):
+def test_tnorms_never_fall_as_either_degree_grows(t_name):
     # _residuum_scan bisects the row T(a, zs) itself, so each t-norm must round
-    # monotonically in z: on pairs of adjacent floats, and along level grids
+    # monotonically in z: on pairs of adjacent floats, and along level grids.
+    # gmp's dominance pruning needs it in a as well, on adjacent floats
     t = TNORMS[t_name]
     rng = np.random.default_rng(13)
     as_ = np.concatenate([rng.random(500), EDGE_DEGREES])[:, None]
     z = np.concatenate([rng.random(400), EDGE_DEGREES])[None, :]
     assert np.all(t(as_, np.nextafter(z, 1.0)) >= t(as_, z))
+    assert np.all(t(np.nextafter(as_, 1.0), z) >= t(as_, z))
     for levels in (2, 3, 11, 101, 1001, 4097):
         rows = t(as_, np.linspace(0.0, 1.0, levels))
         assert np.all(rows[:, 1:] >= rows[:, :-1]), levels
 
 
 @pytest.mark.parametrize("t_name, impl_name", sorted(RESIDUUM_FOR_TNORM.items()))
-def test_residuum_gap_scans_in_blocks(t_name, impl_name):
+def test_residuum_gap_holds_no_table_of_every_level(t_name, impl_name):
     # check-ops' grid: one 101 x 1001 table would take 0.8 MB per temporary
     tracemalloc.start()
     try:
@@ -308,8 +308,19 @@ def test_lukasiewicz_runs_both_batteries():
 
 
 def test_suite_rejects_mismatched_pairs():
-    with pytest.raises(ValueError, match="residuum of"):
+    with pytest.raises(ValueError, match="^implication 'goedel' is the residuum of "
+                                         "'minimum', not of 'product'$"):
         property_suite("product", "goedel", 11)
+
+
+@pytest.mark.parametrize("impl_kind", sorted(set(IMPLICATIONS) - set(R_IMPLICATIONS)))
+@pytest.mark.parametrize("t_kind", sorted(TNORMS))
+def test_suite_takes_a_tnorm_only_with_the_implication_it_generates(t_kind, impl_kind):
+    # a t-norm selects the residuation laws; an s-implication outside the
+    # r-family has none, so a t-norm beside it is an error, not ignored
+    with pytest.raises(ValueError, match=f"^implication '{impl_kind}' is not residuated; "
+                                         f"pass no t-norm$"):
+        property_suite(t_kind, impl_kind, 11)
 
 
 def test_suite_rejects_an_unknown_tnorm():
@@ -318,8 +329,11 @@ def test_suite_rejects_an_unknown_tnorm():
 
 
 def test_suite_requires_tnorm_for_pure_residuated_implications():
-    with pytest.raises(ValueError, match="generating t-norm"):
-        property_suite(None, "goedel", 11)
+    # the message names the implication canonically, as the other pairing errors do
+    for spelling in ("goedel", "Goedel"):
+        with pytest.raises(ValueError, match="^implication 'goedel' is residuated; "
+                                             "pass its generating t-norm$"):
+            property_suite(None, spelling, 11)
 
 
 @pytest.mark.parametrize("impl_kind", sorted(IMPLICATIONS))

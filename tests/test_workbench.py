@@ -6,10 +6,12 @@ import pytest
 
 from fuzzyabduce.abduction import SOLVABLE_POSSIBLY, UNSOLVABLE, abduce_variation
 from fuzzyabduce.core import FuzzySet, Universe, complement, compatibility, sample
+from fuzzyabduce.inference import Rule
 from fuzzyabduce.workbench import (
     AGGREGATION_LABEL,
     CAUSAL_DIAGNOSIS,
     FAULT_COMPONENT,
+    Problem,
     ProblemError,
     ScenarioConfig,
     TaskConfig,
@@ -353,6 +355,31 @@ def test_disjoint_cause_universes_are_not_aggregated(causal_path):
                             "presenting_fever")
     report = run_causal_scenario(problem, config)
     assert report.aggregates == []
+
+
+@pytest.mark.parametrize("second_grid, aggregated", [([0, 2], False), ([0, 1], True)])
+def test_cause_universes_of_one_name_aggregate_only_on_one_grid(second_grid, aggregated):
+    # a universe is its name and its grid, so bounds on two grids of one name
+    # are sets over different points; problem files cannot hold such a pair,
+    # so the problem is built in code
+    effect = Universe("effect", [0, 1])
+    seen = FuzzySet(effect, [1, 0])
+    rules = {name: Rule(FuzzySet(Universe("cause", grid), [1, 0]), seen, "variation",
+                        "goedel", "minimum")
+             for name, grid in (("first", [0, 1]), ("second", second_grid))}
+    observed = FuzzySet(effect, [0.4, 0.9])
+    problem = Problem(spec={}, universes={}, sets={"observed": observed}, rules=rules,
+                      observations={})
+    report = run_causal_scenario(
+        problem, ScenarioConfig(CAUSAL_DIAGNOSIS, ("first", "second"), "observed"))
+    if not aggregated:
+        assert report.aggregates == []
+        return
+    [agg] = report.aggregates
+    assert agg.universe == "cause" and agg.rules == ("first", "second")
+    assert agg.hypothesis.universe == rules["first"].antecedent.universe
+    assert np.array_equal(agg.hypothesis.mu, np.minimum(
+        *(e.result.hypothesis.mu for e in report.entries)))
 
 
 def test_unsolvable_rule_entry_carries_its_witness(tmp_path):
