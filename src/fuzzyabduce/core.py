@@ -163,14 +163,18 @@ SHAPES = {"triangular": (3, _triangular), "trapezoidal": (4, _trapezoidal),
 
 def sample(kind: str, params, universe: Universe) -> FuzzySet:
     """The set of a shape, by its name in SHAPES, evaluated on the universe grid;
-    kind "samples" takes the degrees themselves, one per grid point.
+    kind "samples" takes the degrees themselves, one in [0, 1] per grid point.
 
     Triangular and trapezoidal shapes are piecewise linear between their
     knots. A singleton puts degree 1 on the nearest grid point (ties break
     toward the lower point) and 0 elsewhere.
     """
     if kind == "samples":
-        return FuzzySet(universe, params)
+        s = FuzzySet(universe, params)  # its length and finiteness checks come first
+        for x in params:
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"samples: degrees must lie in [0, 1], got {x}")
+        return s
     if kind not in SHAPES:
         raise ValueError(f"unknown shape kind {kind!r}")
     arity, degrees_at = SHAPES[kind]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -98,15 +99,13 @@ class Relation:
     def rows(self, index) -> np.ndarray:
         """Degrees of the rows at index, a slice or an index array."""
         a, b = self.antecedent.mu, self.consequent.mu
-        # every implication keeps degrees in [0, 1] as computed (the range test)
         return implication_fn(self.implication)(a[index, None], b[None, :])
 
-    def blocks(self, rows=None):
-        """Yield (lo, rows lo onwards) over blocks of about BLOCK_CELLS degrees.
-
-        An index array rows restricts the blocks to those rows; lo then
-        counts kept rows. A relation larger than MAX_FOLD_CELLS raises
-        ValueError before any row is computed, however few rows are kept.
+    def blocks(self, keep=None):
+        """Yield (index, the rows at index) over blocks of about BLOCK_CELLS degrees:
+        index is a slice, or a part of the index array keep when keep is given.
+        A relation larger than MAX_FOLD_CELLS raises ValueError before any row
+        is computed, however few rows are kept.
         """
         u, v = self.antecedent.universe, self.consequent.universe
         n, m = len(u), len(v)
@@ -118,9 +117,9 @@ class Relation:
                 f"use coarser grids"
             )
         step = max(1, BLOCK_CELLS // m)
-        for lo in range(0, n if rows is None else len(rows), step):
-            index = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
-            yield lo, self.rows(index)
+        for lo in range(0, n if keep is None else len(keep), step):
+            index = slice(lo, lo + step) if keep is None else keep[lo:lo + step]
+            yield index, self.rows(index)
 
 
 def build_relation(rule: Rule) -> Relation:
@@ -158,16 +157,13 @@ def gmp(relation: Relation, a_prime: FuzzySet, tnorm: str) -> FuzzySet:
         # and max over u of T(p(u), b(v)) is T(max p, b(v))
         image = np.maximum(np.max(t(p, 1.0 - a)), t(np.max(p), b))
     else:
-        keep = None
-        if relation.implication in ANTITONE:
-            # row u' dominates row u when a(u') <= a(u) and p(u') >= p(u): as
-            # computed, I never rises in a and T never falls in either argument,
-            # so a dominated row never exceeds its dominator's and max is exact
-            keep = _undominated(a, p)
-            p = p[keep]
+        # row u' dominates row u when a(u') <= a(u) and p(u') >= p(u): as
+        # computed, I never rises in a and T never falls in either argument,
+        # so a dominated row never exceeds its dominator's and max is exact
+        keep = _undominated(a, p) if relation.implication in ANTITONE else None
         image = None
-        for lo, rows in relation.blocks(rows=keep):
-            part = np.max(t(p[lo:lo + len(rows), None], rows), axis=0)
+        for index, rows in relation.blocks(keep):
+            part = np.max(t(p[index, None], rows), axis=0)
             image = part if image is None else np.maximum(image, part, out=image)
     return FuzzySet(relation.consequent.universe, image)
 
@@ -205,14 +201,12 @@ def column_sup(relation: Relation) -> np.ndarray:
 
     A rule relation whose implication never rises as its antecedent grows
     (operators.ANTITONE) has its column maxima in the row of its least
-    antecedent degree. For any other relation, min(1, x) = x, so the image
-    of the all-ones set is each column's supremum.
+    antecedent degree. Any other relation takes the running maximum of each
+    block's column maxima.
     """
     if relation.implication in ANTITONE:
-        i = int(np.argmin(relation.antecedent.mu))
-        return relation.rows([i])[0]
-    u = relation.antecedent.universe
-    return gmp(relation, FuzzySet(u, np.ones(len(u))), "minimum").mu
+        return relation.rows([np.argmin(relation.antecedent.mu)])[0]
+    return reduce(np.maximum, (rows.max(axis=0) for _, rows in relation.blocks()))
 
 
 def residual_bound(relation: Relation, observed: FuzzySet, tnorm: str) -> FuzzySet:

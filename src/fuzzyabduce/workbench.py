@@ -15,12 +15,12 @@ A problem file is JSON with this shape::
     }
 
 Shapes: triangular [a,b,c], trapezoidal [a,b,c,d], gaussian [center,width],
-singleton [point], samples [one degree per grid point]. A scenario task
-carries its configuration under task.scenario. Numbers must be finite JSON
-numbers (not booleans), points and levels integers, names strings; any other
-value is a ProblemError that names the file and the entry. All report
-rendering is deterministic: the same problem file always produces
-byte-identical output.
+singleton [point], samples [one degree in [0, 1] per grid point]. A scenario
+task carries its configuration under task.scenario; its rules are distinct.
+Numbers must be finite JSON numbers (not booleans), points and levels
+integers, names strings; any other value is a ProblemError that names the
+file and the entry. All report rendering is deterministic: the same problem
+file always produces byte-identical output.
 """
 from __future__ import annotations
 
@@ -64,6 +64,8 @@ class ScenarioConfig:
                                f"got {self.kind!r}")
         if not self.rules:
             raise ProblemError("needs at least one rule")
+        twice = next((r for i, r in enumerate(self.rules) if r in self.rules[:i]), None)
+        _require(twice is None, f"rule {twice!r} is listed twice")
         if not 0.0 <= self.match_threshold <= 1.0:  # a nan fails too
             raise ProblemError(f"match_threshold must lie in [0, 1], got {self.match_threshold}")
 

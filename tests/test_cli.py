@@ -354,6 +354,19 @@ MALFORMED = {
     "samples_null": ("temperature.json",
                      lambda d: d["sets"]["low"].update(shape="samples", params=[None]),
                      "sets.low.params[0]: must be a number, got None"),
+    "samples_above_one": ("temperature.json",
+                          lambda d: d["sets"]["low"].update(shape="samples",
+                                                            params=[0, 0.5, 1.5, 0.5, 0]),
+                          "sets.low: samples: degrees must lie in [0, 1], got 1.5"),
+    "samples_below_zero": ("temperature.json",
+                           lambda d: d["sets"]["low"].update(shape="samples",
+                                                             params=[-0.5, 0.5, 1.5, 0.5, 0]),
+                           "sets.low: samples: degrees must lie in [0, 1], got -0.5"),
+    "scenario_rule_twice": ("causal_medical.json",
+                            lambda d: d["task"]["scenario"].update(
+                                rules=["severe_infection_drives_high_fever"] * 2),
+                            "task.scenario: rule 'severe_infection_drives_high_fever' "
+                            "is listed twice"),
     "threshold_null": ("circuit_fault.json",
                        lambda d: d["task"]["scenario"].update(match_threshold=None),
                        "task.scenario.match_threshold: must be a finite number, got None"),
@@ -432,9 +445,9 @@ def test_negative_zero_samples_print_as_zero(capsys, tmp_path):
 def test_malformed_problem_exits_1_naming_the_entry(capsys, tmp_path, case):
     name, mutate, message = MALFORMED[case]
     path = write_mutated(tmp_path, name, mutate)
-    command = "scenario" if name == "circuit_fault.json" else "abduce"
-    code, _, err = run(capsys, command, "--problem", path)
-    assert code == 1
+    command = "abduce" if name == "temperature.json" else "scenario"
+    code, out, err = run(capsys, command, "--problem", path)
+    assert code == 1 and out == ""
     assert err == f"error: {path}: {message}\n"
 
 

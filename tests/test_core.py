@@ -194,6 +194,21 @@ def test_samples_passthrough_and_length_check():
         sample("samples", [0.1, 0.5], u)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.5])
+def test_samples_reject_a_degree_outside_the_unit_interval(bad):
+    # FuzzySet would clamp the degree; samples take it as given or not at all,
+    # after the length and finiteness checks
+    u = make_universe("t", 0, 1, 3)
+    with pytest.raises(ValueError, match=rf"^samples: degrees must lie in \[0, 1\], got {bad}$"):
+        sample("samples", [0.5, bad, 2.0], u)
+    with pytest.raises(ValueError, match="3-point universe"):
+        sample("samples", [bad, 0.5], u)
+    with pytest.raises(ValueError, match="must be finite"):
+        sample("samples", [bad, float("nan"), 0.5], u)
+    mu = sample("samples", [0.0, -0.0, 1.0], u).mu
+    assert np.array_equal(mu, [0.0, 0.0, 1.0]) and not np.any(np.signbit(mu))
+
+
 def test_degenerate_trapezoid_edges_are_vertical():
     # a == b collapses the rising edge into a step at that point
     s = sample("trapezoidal", [50, 50, 100, 100], make_universe("t", 0, 100, 5))

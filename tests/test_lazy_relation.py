@@ -383,7 +383,8 @@ def test_wide_relations_fold_one_row_at_a_time():
     assert peak_mb(lambda: abduce_certainty(rule, observed, "product")) < 8
 
 
-def test_gmp_computes_only_the_undominated_rows(monkeypatch):
+def counted_cells(monkeypatch) -> list:
+    """The size of every block of rows that Relation.rows computes from now on."""
     cells = []
     rows = Relation.rows
 
@@ -393,6 +394,11 @@ def test_gmp_computes_only_the_undominated_rows(monkeypatch):
         return computed
 
     monkeypatch.setattr(Relation, "rows", counted)
+    return cells
+
+
+def test_gmp_computes_only_the_undominated_rows(monkeypatch):
+    cells = counted_cells(monkeypatch)
     u, v = Universe("u", GRID), Universe("v", GRID)
     a, b = FuzzySet(u, bump(0.4, 0.2)), FuzzySet(v, bump(0.6, 0.2))
     # an all-ones input: the row of the least antecedent degree dominates
@@ -404,6 +410,19 @@ def test_gmp_computes_only_the_undominated_rows(monkeypatch):
     gmp(build_relation(Rule(a, b, "certainty", "reichenbach", "product")),
         FuzzySet(u, np.ones(len(GRID))), "product")
     assert sum(cells) == len(GRID) ** 2
+
+
+@pytest.mark.parametrize("impl, want", [
+    ("goguen", len(GRID)), ("reichenbach", len(GRID) ** 2), ("zadeh", len(GRID) ** 2),
+])
+def test_the_gate_reads_one_row_or_folds_every_cell_once(monkeypatch, impl, want):
+    # an ANTITONE implication has its column suprema in one row; any other
+    # is folded over every row, and no cell is computed twice
+    cells = counted_cells(monkeypatch)
+    u, v = Universe("u", GRID), Universe("v", GRID)
+    relation = Relation(FuzzySet(u, bump(0.4, 0.2)), FuzzySet(v, bump(0.6, 0.2)), impl)
+    check_solvability(relation, FuzzySet(v, bump(0.5, 0.3, 0.8)))
+    assert sum(cells) == want
 
 
 def test_fold_over_the_cell_limit_fails_at_once_naming_both_universes():

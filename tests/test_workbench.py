@@ -138,9 +138,10 @@ def test_unknown_observation_target(tmp_path):
     ({"kind": "exorcism", "rules": ["drives"]},
      "kind must be 'fault_component' or 'causal_diagnosis', got 'exorcism'"),
     ({"kind": FAULT_COMPONENT, "rules": []}, "needs at least one rule"),
+    ({"kind": FAULT_COMPONENT, "rules": ["drives", "drives"]}, "rule 'drives' is listed twice"),
     ({"kind": FAULT_COMPONENT, "rules": ["drives"], "match_threshold": 1.5},
      "match_threshold must lie in [0, 1], got 1.5"),
-], ids=["unknown_kind", "no_rules", "threshold"])
+], ids=["unknown_kind", "no_rules", "rule_twice", "threshold"])
 def test_scenario_validation(tmp_path, scenario, message):
     path = write_problem(tmp_path, minimal_problem(
         task={"scenario": {**scenario, "observation": "reading"}}))
