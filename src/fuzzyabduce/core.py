@@ -79,6 +79,14 @@ def make_universe(name: str, lo: float, hi: float, n: int) -> Universe:
     return Universe(name, np.linspace(lo, hi, n))
 
 
+def level_grid(levels: int) -> np.ndarray:
+    """The quantization grid of levels evenly spaced degrees from 0 to 1: the
+    oracle's search, its snapping and the operator checks all read this one."""
+    if levels < 2:
+        raise ValueError(f"quantization needs at least 2 levels, got {levels}")
+    return np.linspace(0.0, 1.0, levels)
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class FuzzySet:
     """Membership degrees over a universe's grid, clamped to [0, 1].
@@ -127,13 +135,10 @@ def _ramp_down(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
         return np.where(x <= lo, 1.0, np.where(x >= hi, 0.0, (hi - x) / span))
 
 
-def _triangular(x: np.ndarray, a, b, c) -> np.ndarray:
-    _check_knots("triangular", (a, b, c))
-    return np.minimum(_ramp_up(x, a, b), _ramp_down(x, b, c))
-
-
-def _trapezoidal(x: np.ndarray, a, b, c, d) -> np.ndarray:
-    _check_knots("trapezoidal", (a, b, c, d))
+def _trapezoidal(x: np.ndarray, *knots) -> np.ndarray:
+    # knots (a, b, c, d), or a triangle's (a, b, c), which is (a, b, b, c)
+    _check_knots("trapezoidal" if len(knots) == 4 else "triangular", knots)
+    a, b, c, d = knots if len(knots) == 4 else (*knots[:2], *knots[1:])
     return np.minimum(_ramp_up(x, a, b), _ramp_down(x, c, d))
 
 
@@ -157,7 +162,7 @@ def _singleton(x: np.ndarray, point) -> np.ndarray:
 
 #: membership shapes by their name in problem files: the number of parameters
 #: each takes, and its degrees at the grid points x given them
-SHAPES = {"triangular": (3, _triangular), "trapezoidal": (4, _trapezoidal),
+SHAPES = {"triangular": (3, _trapezoidal), "trapezoidal": (4, _trapezoidal),
           "gaussian": (2, _gaussian), "singleton": (1, _singleton)}
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import MAX_CELLS, TOL
+from .core import MAX_CELLS, TOL, level_grid
 
 
 def canonical_name(kind: str) -> str:
@@ -157,32 +157,27 @@ def residuum_oracle(tnorm_kind: str, a: float, b: float, levels: int) -> float:
     """Brute-force residuum: the largest z on a quantized grid with T(a, z) <= b.
 
     Independent check for the closed-form residuated implications: it tests
-    every z in {0, 1/(levels-1), ..., 1} and returns the largest that
-    qualifies, or 0.0 where none does.
+    every z of level_grid(levels) and returns the largest that qualifies, or
+    0.0 where none does.
     """
-    if levels < 2:
-        raise ValueError(f"residuum oracle needs at least 2 levels, got {levels}")
     fn = tnorm_fn(tnorm_kind)
     a, b = _check_degree("a", a), _check_degree("b", b)
-    zs = np.linspace(0.0, 1.0, levels)
+    zs = level_grid(levels)
     return float(np.max(zs[fn(a, zs) <= b], initial=0.0))
 
 
 def residuum_gap(tnorm_kind: str, implication_kind: str, points: int, levels: int) -> float:
     """Largest gap between a closed-form implication and residuum_oracle
-    over the points x points grid of degrees a, b = i / (points - 1).
+    over the points x points grid of degrees a, b of level_grid(points).
 
     Bisects each a's own row against every b and compares the scanned matrix
     with the closed form in one pass, so the largest temporaries hold
     points x points values or one row of levels degrees.
     """
-    if points < 2 or levels < 2:
-        raise ValueError(f"residuum scan needs at least 2 points and 2 levels, "
-                         f"got {points} and {levels}")
     t = tnorm_fn(tnorm_kind)
     impl = implication_fn(implication_kind)
-    g = np.arange(points) / (points - 1)
-    scanned = _residuum_scan(t, g, g, np.linspace(0.0, 1.0, levels))
+    g = level_grid(points)
+    scanned = _residuum_scan(t, g, g, level_grid(levels))
     return float(np.max(np.abs(impl(g[:, None], g[None, :]) - scanned)))
 
 
@@ -262,7 +257,7 @@ def property_suite(tnorm_kind: Optional[str], implication_kind: str,
     if t is not None and TNORM_FOR_RESIDUUM[impl_name] != t_name:
         raise ValueError(f"implication {impl_name!r} is the residuum of "
                          f"{TNORM_FOR_RESIDUUM[impl_name]!r}, not of {t_name!r}")
-    g = np.linspace(0.0, 1.0, grid_levels)
+    g = level_grid(grid_levels)
     a2, b2 = g[:, None], g[None, :]
     iab = impl(a2, b2)
     laws = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_CELLS, TOL, FuzzySet, Universe
+from .core import MAX_CELLS, TOL, FuzzySet, Universe, level_grid
 from .inference import Relation, check_universe
 from .operators import tnorm_fn
 
@@ -52,11 +52,11 @@ class QuantizedSearch:
 
 
 def snap_to_levels(mu: np.ndarray, levels: int) -> tuple[np.ndarray, float]:
-    """Round degrees to the quantization grid; also return the largest shift."""
-    if levels < 2:
-        raise ValueError(f"quantization needs at least 2 levels, got {levels}")
+    """Move each degree to its nearest level of level_grid(levels), the levels
+    the search uses; also return the largest shift."""
+    grid = level_grid(levels)
     values = np.asarray(mu, dtype=float)
-    snapped = np.round(values * (levels - 1)) / (levels - 1)
+    snapped = grid[np.clip(np.round(values * (levels - 1)), 0, levels - 1).astype(int)]
     return snapped, float(np.max(np.abs(snapped - values))) if values.size else 0.0
 
 
@@ -143,7 +143,7 @@ def enumerate_solutions(relation: Relation, b_prime: FuzzySet, tnorm: str,
             f"{width} observation points) exceeds the limit of {MAX_CELLS}"
         )
     target, _ = snap_to_levels(b_prime.mu, search.levels)
-    grid = np.linspace(0.0, 1.0, search.levels)
+    grid = level_grid(search.levels)
     gap = tnorm_fn(tnorm)(grid[None, :, None], relation.rows(slice(None))[:, None, :]) - target
     admissible = np.all(gap <= TOL, axis=2)
     covers = np.packbits(gap >= -TOL, axis=2)

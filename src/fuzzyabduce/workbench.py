@@ -15,12 +15,14 @@ A problem file is JSON with this shape::
     }
 
 Shapes: triangular [a,b,c], trapezoidal [a,b,c,d], gaussian [center,width],
-singleton [point], samples [one degree in [0, 1] per grid point]. A scenario
-task carries its configuration under task.scenario; its rules are distinct.
-Numbers must be finite JSON numbers (not booleans), points and levels
-integers, names strings; any other value is a ProblemError that names the
-file and the entry. All report rendering is deterministic: the same problem
-file always produces byte-identical output.
+singleton [point], samples [one degree in [0, 1] per grid point]. The task may
+also give levels, and a scenario task carries its kind, rules (distinct),
+observation and match_threshold under task.scenario. Each object takes only
+these keys, a universe either a grid or lo/hi/points, and no observation takes
+the name of a set. Numbers must be finite JSON numbers (not booleans), points
+and levels integers, names strings; any other value is a ProblemError that
+names the file and the entry. All report rendering is deterministic: the same
+problem file always produces byte-identical output.
 """
 from __future__ import annotations
 
@@ -89,7 +91,8 @@ class Problem:
     task: TaskConfig = field(default_factory=TaskConfig)  # empty when the file has none
 
     def resolve_set(self, name: str) -> FuzzySet:
-        """Look a name up first among observations, then among sets."""
+        """The set an observation names, or the set of that name; the loader
+        keeps observation names apart from set names."""
         target = self.observations.get(name, name)
         if target not in self.sets:
             raise ProblemError(f"unknown set or observation {name!r}")
@@ -154,6 +157,12 @@ def _list(entry, key, kind: str, where: str, default=_REQUIRED) -> list:
     return [_field(values, i, kind, _path(where, key)) for i in range(len(values))]
 
 
+def _no_other_fields(entry: dict, keys: tuple, where: str) -> None:
+    """Reject the first key of entry, in file order, that is not among keys."""
+    extra = next((key for key in entry if key not in keys), None)
+    _require(extra is None, f"{where or 'top level'}: unknown field {extra!r}")
+
+
 def _built(where: str, make, *args):
     """make(*args), with a ValueError, or a MemoryError from a grid too large to
     allocate, reported as a ProblemError naming where."""
@@ -209,11 +218,14 @@ def load_problem(path: str, grid_points: Optional[int] = None) -> Problem:
 def _parse_problem(data, grid_points: Optional[int]) -> Problem:
     """The Problem a decoded problem file describes."""
     _require(isinstance(data, dict), "top level must be a JSON object")
+    _no_other_fields(data, ("universes", "sets", "rules", "observations", "task"), "")
     spec: dict = {"universes": [], "sets": {}, "rules": {}}
 
     universes: dict[str, Universe] = {}
     for i, entry in enumerate(_list(data, "universes", "an object", "", [])):
         where = f"universes[{i}]"
+        _no_other_fields(entry, ("name", "grid") if "grid" in entry
+                         else ("name", "lo", "hi", "points"), where)
         name = _field(entry, "name", "a string", where)
         _require(name != "", f"{where}: needs a name")
         _require(name not in universes, f"{where}: duplicate universe name {name!r}")
@@ -236,6 +248,7 @@ def _parse_problem(data, grid_points: Optional[int]) -> Problem:
     for name in section:
         where = f"sets.{name}"
         entry = _field(section, name, "an object", "sets")
+        _no_other_fields(entry, ("universe", "shape", "params"), where)
         uname = _ref(entry, "universe", universes, "universe", where)
         kind = _field(entry, "shape", "a string", where).strip().lower()
         params = _list(entry, "params", "a number", where, [])
@@ -249,6 +262,8 @@ def _parse_problem(data, grid_points: Optional[int]) -> Problem:
     for name in section:
         where = f"rules.{name}"
         entry = _field(section, name, "an object", "rules")
+        _no_other_fields(entry, ("antecedent", "consequent", "semantics", "implication",
+                                 "tnorm"), where)
         sides = [_ref(entry, side, sets, "set", where) for side in ("antecedent", "consequent")]
         rule = _built(where, Rule, *(sets[s] for s in sides),
                       *(_field(entry, k, "a string", where)
@@ -259,18 +274,23 @@ def _parse_problem(data, grid_points: Optional[int]) -> Problem:
                                "implication": rule.implication, "tnorm": rule.tnorm}
 
     section = _field(data, "observations", "an object", "", {})
-    observations = {name: _ref(section, name, sets, "set", "observations")
-                    for name in section}
+    observations = {}
+    for name in section:
+        # resolve_set looks an observation up first, so one named like a set would hide it
+        _require(name not in sets, f"observations.{name}: name is already a set")
+        observations[name] = _ref(section, name, sets, "set", "observations")
     spec["observations"] = dict(observations)
 
     task = TaskConfig()
     if "task" in data:
         entry = _field(data, "task", "an object", "")
+        _no_other_fields(entry, ("kind", "rule", "input", "levels", "scenario"), "task")
         known = observations.keys() | sets.keys()
         scenario = None
         if "scenario" in entry:
             where = "task.scenario"
             sc = _field(entry, "scenario", "an object", "task")
+            _no_other_fields(sc, ("kind", "rules", "observation", "match_threshold"), where)
             kind = _field(sc, "kind", "a string", where, None)
             rule_names = _field(sc, "rules", "a list", where, [])
             for j in range(len(rule_names)):
@@ -434,6 +454,13 @@ def format_degrees(mu: np.ndarray) -> str:
     return ", ".join(f"{x:.6f}" for x in mu)
 
 
+def format_point(x: float) -> str:
+    """The shortest text that reads back as the grid point x, with no trailing
+    ".0", so an integral point prints as an integer."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def result_lines(result: AbductionResult, indent: str) -> list[str]:
     """The hypothesis, solvability and roundtrip lines of one result."""
     solv = result.solvability
@@ -444,7 +471,8 @@ def result_lines(result: AbductionResult, indent: str) -> list[str]:
         f"{format_degrees(result.hypothesis.mu)}",
         f"{indent}solvability: {solv.verdict}" + (
             "" if w is None else
-            f" (at v={w.point:g} required {w.required:.6f}, available {w.available:.6f})"),
+            f" (at v={format_point(w.point)} required {w.required:.6f}, "
+            f"available {w.available:.6f})"),
         f"{indent}roundtrip: max residual {rt.max_abs_residual:.6f}, "
         f"covers={'yes' if rt.covers_observation else 'no'}, "
         f"within={'yes' if rt.within_observation else 'no'}",
@@ -504,7 +532,8 @@ def report_as_dict(value):
 
 def emit_plot_data(named_sets, path: str) -> str:
     """Write overlay curves, a list of (name, set) pairs, as CSV: header
-    "x,<name>,...", one row per grid point, degrees with 6 decimal places.
+    "x,<name>,...", one row per grid point (format_point), degrees with 6
+    decimal places.
     """
     if not named_sets:
         raise ValueError("emit_plot_data needs at least one named set")
@@ -518,7 +547,7 @@ def emit_plot_data(named_sets, path: str) -> str:
     lines = ["x," + ",".join(name for name, _ in named_sets)]
     for i, x in enumerate(universe.grid):
         row = ",".join(f"{s.mu[i]:.6f}" for _, s in named_sets)
-        lines.append(f"{x:g},{row}")
+        lines.append(f"{format_point(x)},{row}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

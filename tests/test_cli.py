@@ -395,6 +395,27 @@ MALFORMED = {
                       "task.levels: must be an integer, got '11'"),
     "lo_bool": ("temperature.json", lambda d: d["universes"][0].update(lo=True),
                 "universes[0].lo: must be a finite number, got True"),
+    # resolve_set looks observations up first, so this one would hide the set
+    "observation_named_like_a_set": ("temperature.json",
+                                     lambda d: d["observations"].update(low="high"),
+                                     "observations.low: name is already a set"),
+    # each object rejects the first key it does not read, in file order
+    "unknown_top_level_field": ("temperature.json", lambda d: d.update(comment="x"),
+                                "top level: unknown field 'comment'"),
+    "unknown_scenario_field": ("circuit_fault.json",
+                               lambda d: d["task"]["scenario"].update(match_treshold=0.99),
+                               "task.scenario: unknown field 'match_treshold'"),
+    # a universe takes a grid or lo/hi/points, not both
+    "universe_grid_and_bounds": ("temperature.json",
+                                 lambda d: d["universes"][0].update(grid=[0, 100, 200]),
+                                 "universes[0]: unknown field 'lo'"),
+    "unknown_set_field": ("temperature.json", lambda d: d["sets"]["low"].update(parms=[0]),
+                          "sets.low: unknown field 'parms'"),
+    "unknown_rule_field": ("temperature.json",
+                           lambda d: d["rules"]["heat_persists"].update(tnrom="minimum"),
+                           "rules.heat_persists: unknown field 'tnrom'"),
+    "unknown_task_field": ("temperature.json", lambda d: d["task"].update(levles=21),
+                           "task: unknown field 'levles'"),
     # 8 EB of grid, rejected by the point limit before any allocation
     "points_huge": ("temperature.json", lambda d: d["universes"][0].update(points=10 ** 18),
                     "universes[0]: universe 'temperature': 1000000000000000000 grid points "
@@ -425,6 +446,21 @@ def test_scenario_rule_on_another_universe_exits_1(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err == ("error: scenario: rule 'psu_ok' concludes on 'output_voltage' "
                    "but the observation lives on 'psu_health'\n")
+
+
+def test_plot_labels_read_back_as_their_grid_points(capsys, tmp_path):
+    # six significant digits would print these 201 points as 101 distinct labels
+    def fine_grid(d):
+        d["universes"][0].update(lo=1000, hi=1001, points=201)
+        d["sets"]["low"].update(params=[1000, 1000, 1000.4, 1000.9])
+
+    path = write_mutated(tmp_path, "temperature.json", fine_grid)
+    out = str(tmp_path / "curves.csv")
+    assert run(capsys, "plot", "--problem", path, "--sets", "low", "--out", out)[0] == 0
+    labels = [line.split(",")[0] for line in Path(out).read_text().splitlines()[1:]]
+    grid = load_problem(path).universes["temperature"].grid
+    assert [float(x) for x in labels] == grid.tolist()
+    assert labels[0] == "1000" and labels[1] == "1000.005" and labels[-1] == "1001"
 
 
 def test_negative_zero_samples_print_as_zero(capsys, tmp_path):

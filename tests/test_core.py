@@ -16,6 +16,7 @@ from fuzzyabduce.core import (
     UniverseMismatchError,
     compatibility,
     complement,
+    level_grid,
     make_universe,
     sample,
 )
@@ -223,6 +224,22 @@ def test_shape_parameter_validation():
         sample("gaussian", [0, 0], u)
     with pytest.raises(ValueError, match="non-decreasing"):
         sample("trapezoidal", [0, 2, 1, 3], u)
+
+
+@pytest.mark.parametrize("kind, knots", [("triangular", [150, 100, 50]),
+                                         ("trapezoidal", [0, 150, 100, 200])])
+def test_knot_error_names_the_shape_and_its_own_knots(kind, knots):
+    u = make_universe("t", 0, 200, 5)
+    with pytest.raises(ValueError, match=rf"^{kind}: knots must be non-decreasing, "
+                                         rf"got \({', '.join(map(str, knots))}\)$"):
+        sample(kind, knots, u)
+
+
+def test_level_grid_spans_zero_to_one_and_needs_two_levels():
+    assert level_grid(11).tobytes() == np.linspace(0.0, 1.0, 11).tobytes()
+    assert level_grid(2).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="^quantization needs at least 2 levels, got 1$"):
+        level_grid(1)
 
 
 def test_parametric_shape_needs_two_grid_points():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzyabduce
+from fuzzyabduce.core import level_grid
 from fuzzyabduce.operators import (
     CONTRAPOSITIVE_S,
     IMPLICATIONS,
@@ -166,8 +167,8 @@ def test_residuum_oracle_needs_two_levels():
 
 @pytest.mark.parametrize("points, levels", [(1, 11), (11, 1)])
 def test_residuum_gap_needs_two_points_and_two_levels(points, levels):
-    with pytest.raises(ValueError, match=f"^residuum scan needs at least 2 points and 2 "
-                                         f"levels, got {points} and {levels}$"):
+    # both axes are level grids, so either one's count below 2 is refused as such
+    with pytest.raises(ValueError, match="^quantization needs at least 2 levels, got 1$"):
         residuum_gap("product", "goguen", points, levels)
 
 
@@ -177,12 +178,29 @@ def test_residuum_gap_equals_the_scalar_scan(t_name, impl_name, points, levels):
     # one scalar oracle call per (a, b) pair of the points x points grid; the
     # oracle tests every level and shares no code with the row scan.
     # (101, 1001) is check-ops' own grid, whose gaps tests/golden/check_ops.json pins
-    grid = [i / (points - 1) for i in range(points)]
+    grid = [float(x) for x in level_grid(points)]
     expected = max(
         abs(implication(impl_name, a, b) - residuum_oracle(t_name, a, b, levels))
         for a in grid for b in grid
     )
     assert residuum_gap(t_name, impl_name, points, levels) == expected
+
+
+@pytest.mark.parametrize("points", [*range(2, 13), 101])
+def test_goedel_gap_is_zero_exactly_where_the_degrees_are_levels(points):
+    # goedel's residuum is 1 or b, so the scan recovers it exactly where every
+    # degree b is a level, and otherwise falls to the level below b. On linspace
+    # grids, levels - 1 a multiple of points - 1 does not make every degree a
+    # level bit for bit: (6, 16) misses by an ulp and (101, 301) by a level
+    for levels in [m * (points - 1) + 1 for m in range(1, 12)]:
+        degrees_are_levels = bool(np.all(np.isin(level_grid(points), level_grid(levels))))
+        gap = residuum_gap("minimum", "goedel", points, levels)
+        assert (gap == 0.0) == degrees_are_levels, levels
+
+
+def test_goedel_gap_is_zero_on_the_check_ops_grid():
+    assert np.all(np.isin(level_grid(101), level_grid(1001)))
+    assert residuum_gap("minimum", "goedel", 101, 1001) == 0.0
 
 
 def scan_by_definition(t, a, bs, zs):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyabduce import oracle
-from fuzzyabduce.core import FuzzySet, Universe, UniverseMismatchError, make_universe
+from fuzzyabduce.core import (FuzzySet, Universe, UniverseMismatchError, level_grid,
+                              make_universe)
 from fuzzyabduce.inference import Relation, Rule, build_relation, gmp
 from fuzzyabduce.operators import tnorm_fn
 from fuzzyabduce.oracle import (
@@ -85,6 +86,19 @@ def test_off_grid_observation_is_snapped_first():
 def test_snap_of_empty_vector():
     snapped, shift = snap_to_levels(np.array([]), 11)
     assert snapped.size == 0 and shift == 0.0
+
+
+def test_snap_keeps_every_level_of_the_search_grid():
+    # the target is bit for bit a level that enumerate_solutions searches
+    for levels in range(2, 65):
+        grid = level_grid(levels)
+        snapped, shift = snap_to_levels(grid, levels)
+        assert snapped.tobytes() == grid.tobytes() and shift == 0.0, levels
+
+
+def test_snap_moves_a_degree_outside_the_unit_interval_to_the_nearest_end():
+    snapped, shift = snap_to_levels(np.array([-0.3, 1.2]), 11)
+    assert snapped.tolist() == [0.0, 1.0] and shift == pytest.approx(0.3)
 
 
 def test_snap_needs_two_levels():

@@ -1,4 +1,5 @@
 """Problem file loading, the two diagnosis scenarios, and CSV emission."""
+import copy
 import json
 
 import numpy as np
@@ -132,6 +133,38 @@ def test_unknown_observation_target(tmp_path):
     data = minimal_problem(observations={"reading": "ghost"})
     with pytest.raises(ProblemError, match="observations.reading"):
         load_problem(write_problem(tmp_path, data))
+
+
+def test_observation_named_like_a_set_is_rejected(tmp_path):
+    # resolve_set would return the observation's target for the name "present"
+    path = write_problem(tmp_path, minimal_problem(observations={"present": "seen"}))
+    with pytest.raises(ProblemError) as loaded:
+        load_problem(path)
+    assert str(loaded.value) == f"{path}: observations.present: name is already a set"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(notes="x"), "top level: unknown field 'notes'"),
+    (lambda d: d["universes"].__setitem__(0, {"name": "cause", "grid": [0, 1], "points": 2}),
+     "universes[0]: unknown field 'points'"),
+    # a universe with a grid takes no lo, hi or points
+    (lambda d: d["universes"].__setitem__(0, {"name": "cause", "lo": 0, "hi": 1, "grid": [0]}),
+     "universes[0]: unknown field 'lo'"),
+    (lambda d: d["sets"]["seen"].update(universes="effect"), "sets.seen: unknown field 'universes'"),
+    (lambda d: d["rules"]["drives"].update(tnrom="minimum"), "rules.drives: unknown field 'tnrom'"),
+    (lambda d: d.update(task={"rule": "drives", "inptu": "reading"}),
+     "task: unknown field 'inptu'"),
+    (lambda d: d.update(task={"scenario": {"kind": FAULT_COMPONENT, "rules": ["drives"],
+                                           "observation": "reading", "match_treshold": 0.9}}),
+     "task.scenario: unknown field 'match_treshold'"),
+])
+def test_first_unknown_field_of_an_object_is_rejected(tmp_path, edit, message):
+    data = copy.deepcopy(minimal_problem())  # its universes list is the shared TWO_POINT
+    edit(data)
+    path = write_problem(tmp_path, data)
+    with pytest.raises(ProblemError) as loaded:
+        load_problem(path)
+    assert str(loaded.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("scenario, message", [
