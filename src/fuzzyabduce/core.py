@@ -113,14 +113,7 @@ class FuzzySet:
         object.__setattr__(self, "mu", mu)
 
 
-def _check_knots(kind: str, knots: tuple) -> None:
-    if not all(math.isfinite(k) for k in knots):
-        raise ValueError(f"{kind}: knots must be finite, got {knots}")
-    if any(lo > hi for lo, hi in zip(knots, knots[1:])):
-        raise ValueError(f"{kind}: knots must be non-decreasing, got {knots}")
-
-
-def _ramp_up(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _ramp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     # 0 below lo, 1 at/after hi; a vertical edge when lo == hi
     span = hi - lo if hi > lo else 1.0
     # np.where evaluates the division at points outside (lo, hi) too, where it
@@ -129,17 +122,18 @@ def _ramp_up(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
         return np.where(x >= hi, 1.0, np.where(x <= lo, 0.0, (x - lo) / span))
 
 
-def _ramp_down(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    span = hi - lo if hi > lo else 1.0
-    with np.errstate(over="ignore"):
-        return np.where(x <= lo, 1.0, np.where(x >= hi, 0.0, (hi - x) / span))
-
-
 def _trapezoidal(x: np.ndarray, *knots) -> np.ndarray:
     # knots (a, b, c, d), or a triangle's (a, b, c), which is (a, b, b, c)
-    _check_knots("trapezoidal" if len(knots) == 4 else "triangular", knots)
-    a, b, c, d = knots if len(knots) == 4 else (*knots[:2], *knots[1:])
-    return np.minimum(_ramp_up(x, a, b), _ramp_down(x, c, d))
+    kind = "trapezoidal" if len(knots) == 4 else "triangular"
+    a, b, c, d = map(float, (*knots[:2], *knots[-2:]))
+    # in floats, a span that overflows, integer knots' too, reads inf, not an all-zero edge
+    if not all(math.isfinite(hi - lo) for lo, hi in ((a, b), (b, c), (c, d))):
+        raise ValueError(f"{kind}: knots must be finite, and so must the span "
+                         f"between neighbours, got {knots}")
+    if any(lo > hi for lo, hi in zip(knots, knots[1:])):
+        raise ValueError(f"{kind}: knots must be non-decreasing, got {knots}")
+    # the falling edge from c down to d is the rising edge over -x from -d to -c
+    return np.minimum(_ramp(x, a, b), _ramp(-x, -d, -c))
 
 
 def _gaussian(x: np.ndarray, center, width) -> np.ndarray:

@@ -416,6 +416,18 @@ MALFORMED = {
                            "rules.heat_persists: unknown field 'tnrom'"),
     "unknown_task_field": ("temperature.json", lambda d: d["task"].update(levles=21),
                            "task: unknown field 'levles'"),
+    # computed, an edge over a span that overflows would read 0 everywhere
+    "knot_span_overflows": ("temperature.json",
+                            lambda d: d["sets"]["low"].update(params=[-1e308, 1e308, 1e308,
+                                                                      1e308]),
+                            "sets.low: trapezoidal: knots must be finite, and so must the "
+                            "span between neighbours, got (-1e+308, 1e+308, 1e+308, 1e+308)"),
+    # JSON integers that a float holds, whose span it does not
+    "knot_span_overflows_in_integers": (
+        "temperature.json",
+        lambda d: d["sets"]["low"].update(params=[-10 ** 308, 10 ** 308, 10 ** 308, 10 ** 308]),
+        "sets.low: trapezoidal: knots must be finite, and so must the span between "
+        f"neighbours, got ({-10 ** 308}, {10 ** 308}, {10 ** 308}, {10 ** 308})"),
     # 8 EB of grid, rejected by the point limit before any allocation
     "points_huge": ("temperature.json", lambda d: d["universes"][0].update(points=10 ** 18),
                     "universes[0]: universe 'temperature': 1000000000000000000 grid points "

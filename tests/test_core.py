@@ -1,5 +1,6 @@
 """Universe grids, membership shapes, and elementary set operations."""
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -14,6 +15,7 @@ from fuzzyabduce.core import (
     FuzzySet,
     Universe,
     UniverseMismatchError,
+    _ramp,
     compatibility,
     complement,
     level_grid,
@@ -233,6 +235,44 @@ def test_knot_error_names_the_shape_and_its_own_knots(kind, knots):
     with pytest.raises(ValueError, match=rf"^{kind}: knots must be non-decreasing, "
                                          rf"got \({', '.join(map(str, knots))}\)$"):
         sample(kind, knots, u)
+
+
+def test_falling_edge_is_the_rising_edge_mirrored():
+    # the falling edge from lo down to hi, written directly
+    def falling(x, lo, hi):
+        span = hi - lo if hi > lo else 1.0
+        with np.errstate(over="ignore"):
+            return np.where(x <= lo, 1.0, np.where(x >= hi, 0.0, (hi - x) / span))
+
+    rng = np.random.default_rng(0)
+    edge_points = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+    for _ in range(2000):
+        scale = rng.choice([1.0, 1e-300, 1e300])
+        x = np.concatenate([rng.uniform(-10, 10, rng.integers(1, 10)) * scale, edge_points])
+        # knots on grid points or off the grid, and a vertical edge when c == d
+        candidates = np.concatenate([x, rng.uniform(-20, 20, 4) * scale])
+        c, d = sorted(map(float, rng.choice(candidates, 2)))
+        if rng.random() < 0.2:
+            d = c
+        assert _ramp(-x, -d, -c).tobytes() == falling(x, c, d).tobytes()
+
+
+@pytest.mark.parametrize("kind, knots", [
+    ("trapezoidal", (-1e308, 1e308, 1e308, 1e308)),
+    ("triangular", (-1e308, 1e308, 1e308)),
+    # integers that a float holds, as a JSON file may give them, whose span it does not
+    ("trapezoidal", (-10 ** 308, 10 ** 308, 10 ** 308, 10 ** 308)),
+])
+def test_a_knot_span_that_overflows_is_rejected(kind, knots):
+    # computed, the edge over that span would read 0 at every grid point
+    message = f"{kind}: knots must be finite, and so must the span between neighbours, got {knots}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample(kind, list(knots), make_universe("t", -1, 1, 5))
+
+
+def test_edges_each_spanning_1e308_sample_their_degrees():
+    u = Universe("w", np.array([-5e307, 0.0, 5e307]))
+    assert sample("trapezoidal", [-1e308, 0, 0, 1e308], u).mu.tolist() == [0.5, 1.0, 0.5]
 
 
 def test_level_grid_spans_zero_to_one_and_needs_two_levels():
