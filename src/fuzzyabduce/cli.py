@@ -6,6 +6,7 @@ instance is unsolvable and the best-candidate bound was not requested.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .abduction import UNSOLVABLE, abduce_certainty, abduce_variation
@@ -91,6 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     return parser
+
+
+#: the parser main uses, built on its first call and then reused: parse_args
+#: makes a fresh namespace each call, so no state carries over between calls;
+#: build_parser itself returns a new parser for callers who extend it
+_parser = functools.cache(build_parser)
 
 
 def _rule_and_set(problem, rule_name, set_name, what: str):
@@ -246,8 +253,7 @@ def main(argv=None) -> int:
     """Each cmd_* takes the arguments and the loaded problem (None for
     check-ops) and returns (exit code, stdout text, --out payload or None).
     The payload is written before stdout, so an exit 1 leaves stdout empty."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         problem = load_problem(args.problem, args.grid_points) if "problem" in args else None
         code, text, payload = args.func(args, problem)

@@ -149,8 +149,19 @@ def _gaussian(x: np.ndarray, center, width) -> np.ndarray:
 def _singleton(x: np.ndarray, point) -> np.ndarray:
     if not math.isfinite(point):
         raise ValueError("singleton: point must be finite")
+    # the grid strictly increases, so the nearest point is x[i - 1] or x[i];
+    # their distances are compared exactly, since in floats they may overflow or
+    # round to a tie
+    point = float(point)
+    i = int(np.searchsorted(x, point))
+    if 0 < i < x.size:
+        # imported here: fractions pulls in decimal, about 3 ms at import time
+        from fractions import Fraction
+
+        lo, p, hi = map(Fraction, (x[i - 1], point, x[i]))
+        i -= p - lo <= hi - p  # ties break toward the lower point
     mu = np.zeros(x.size)
-    mu[int(np.argmin(np.abs(x - point)))] = 1.0
+    mu[min(i, x.size - 1)] = 1.0
     return mu
 
 

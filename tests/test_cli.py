@@ -1,4 +1,5 @@
 """Command-line behaviour: subcommands, output, exit codes."""
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +11,12 @@ import pytest
 
 import fuzzyabduce
 from conftest import bundled_problem
-from fuzzyabduce.cli import main
+from fuzzyabduce import cli
+from fuzzyabduce.cli import build_parser, main
 from fuzzyabduce.workbench import TaskConfig, load_problem, save_problem
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import assert_matches_golden
+from test_golden import produce as produce_golden
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -270,6 +275,63 @@ def test_usage_errors_exit_1_not_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["infer"])  # missing required --problem
     assert exc.value.code == 1
+
+
+# the golden CLI cases with a usage error, every --help and a problem error
+# between them; the second order runs the same steps backwards
+ONE_PROCESS_STEPS = [
+    "infer_temperature", "usage_error", "abduce_temperature", ["--help"],
+    "abduce_circuit_fault", ["infer", "--help"], "enumerate_temperature",
+    ["abduce", "--help"], "enumerate_temperature_21", "problem_error", ["enumerate", "--help"],
+    "check_ops", ["check-ops", "--help"], "scenario_circuit_fault", ["scenario", "--help"],
+    "scenario_causal_medical", "usage_error", ["plot", "--help"], "plot_temperature",
+    "problem_error",
+]
+
+
+def subparsers(parser):
+    """The subcommand parsers of a parser, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def fresh_help(argv):
+    """The help text of a freshly built parser, or of its subcommand argv[0]."""
+    parser = build_parser()
+    return (subparsers(parser)[argv[0]] if len(argv) > 1 else parser).format_help()
+
+
+@pytest.mark.parametrize("steps", [ONE_PROCESS_STEPS, ONE_PROCESS_STEPS[::-1]],
+                         ids=["forward", "backward"])
+def test_one_parser_serves_every_command(capsys, tmp_path, temperature_path, steps):
+    assert build_parser() is not build_parser()
+    parser = cli._parser()
+    assert cli._parser() is parser
+    assert {s for s in steps if isinstance(s, str) and s in GOLDEN_CASES} == set(GOLDEN_CASES)
+    assert ({s[0] for s in steps if isinstance(s, list) and len(s) > 1}
+            == set(subparsers(build_parser())))
+    for step in steps:
+        if isinstance(step, list):  # --help prints and exits 0
+            with pytest.raises(SystemExit) as exc:
+                main(step)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 0 and err == ""
+            assert out == fresh_help(step)
+        elif step == "usage_error":
+            with pytest.raises(SystemExit) as exc:
+                main(["infer"])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 1 and out == ""
+            assert err == ("fuzzyabduce infer: error: the following arguments are "
+                           "required: --problem\n")
+        elif step == "problem_error":
+            code, out, err = run(capsys, "scenario", "--problem", temperature_path)
+            assert (code, out) == (1, "")
+            assert err == "error: the problem file has no task.scenario section\n"
+        else:
+            for filename, got in produce_golden(step, tmp_path).items():
+                assert_matches_golden(filename, got)
+            assert capsys.readouterr() == ("", "")
+    assert cli._parser() is parser
 
 
 def test_grid_points_flag(capsys, temperature_path):

@@ -3,10 +3,11 @@ import dataclasses
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyabduce.core import (
@@ -174,6 +175,28 @@ def test_singleton_snaps_to_nearest_grid_point():
 def test_singleton_tie_breaks_toward_lower_point():
     s = sample("singleton", [25], make_universe("t", 0, 100, 3))
     assert np.array_equal(s.mu, [1, 0, 0])
+
+
+finite_doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.floats(1.6e308, 1.7976931348623157e308),
+                           st.floats(-1.7976931348623157e308, -1.6e308))
+
+
+@given(st.lists(finite_doubles, min_size=1, max_size=8, unique=True), finite_doubles)
+# both distances read inf in floats; -1.6e308 is nearer by 1e307
+@example([-1.7e308, -1.6e308], 1.7e308)
+# both distances round to the same float; 1.0 is nearer by 2
+@example([0.0, 1.0], 9007199254740996.0)
+@settings(max_examples=300)
+def test_singleton_picks_the_exact_nearest_point(points, point):
+    # unique compares by ==, so 0.0 and -0.0 never share a grid
+    grid = np.array(sorted(points))
+    exact = [abs(Fraction(point) - Fraction(float(x))) for x in grid]
+    nearest = exact.index(min(exact))  # the first of equals: ties go to the lower point
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = sample("singleton", [point], Universe("t", grid)).mu
+    assert np.flatnonzero(mu).tolist() == [nearest]
 
 
 def test_gaussian_values():
